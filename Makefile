@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check fmt-check vet bench bench-json bench-pr8 bench-pr9 bench-pr10 quick report examples clean figs4-smoke scale-race parallel-equiv
+.PHONY: all build test race check fmt-check vet bench bench-digest bench-json bench-pr8 bench-pr9 bench-pr10 quick report examples clean figs4-smoke scale-race parallel-equiv
 
 # Default verify path: formatting, vet, build, tests — then the race
 # detector over the whole module (the parallel experiment harness must
@@ -27,7 +27,27 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
+# Before sending any change to the event engine (internal/sim,
+# internal/clock) or to internal/platform, also run `make bench-digest`:
+# the tests here pin behaviour on small traces, the digests pin it on the
+# 250k-invocation replays the benchmark scores.
 check: fmt-check vet build test
+
+# Replay-correctness gate: every replay workload of ./bench, on the
+# committed seed and the held-out one, untraced and traced, must
+# reproduce the SHA-256 digest committed in bench/reference.json. The
+# bench makes the comparison itself and reports it as "correct" in the
+# result object it prints last. About 3 s per cell.
+bench-digest:
+	@for w in replay-steady replay-baseline replay-overload; do \
+	  for s in 42 7; do for tr in 0 1; do \
+	    out=$$($(GO) run ./bench -workload $$w -seed $$s -seconds 1 -trace $$tr | tail -n 1); \
+	    case "$$out" in \
+	      '{"correct":true,'*) echo "ok    $$w seed $$s trace $$tr";; \
+	      *) echo "WRONG $$w seed $$s trace $$tr: $$out" | cut -c1-300; exit 1;; \
+	    esac; \
+	  done; done; \
+	done
 
 # benchstat-comparable output: pipe two runs into benchstat to compare.
 bench:

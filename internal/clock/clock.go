@@ -22,6 +22,13 @@
 //     no-op on the zero Handle, an already-fired or already-cancelled
 //     event, and a stale handle to a recycled record (generation
 //     check) — callers routinely cancel events that may have fired.
+//   - Feed (optional, see Feeder) hands the clock a time-sorted batch in
+//     one call and is observably identical to n consecutive At calls
+//     made at the instant of the Feed call: entry i holds sequence
+//     number seq₀+i from a block [seq₀, seq₀+n) reserved at call time,
+//     so a same-instant tie against anything scheduled before the Feed
+//     (lower sequence) or after it (higher) resolves exactly as the FIFO
+//     rule above says it would have for the n At calls.
 package clock
 
 // Record is the implementation-owned state behind a Handle. Drivers
@@ -111,6 +118,55 @@ type Runner interface {
 	Clock
 	// Run executes events until the queue drains.
 	Run()
+}
+
+// Feeder is implemented by clocks that can take a time-sorted batch of
+// callbacks without a queue entry per callback — the serial sim engine,
+// which keeps the batch as a second lane beside its event heap. It is
+// optional: the wall Driver and the sharded engine do not implement it,
+// and live serving never calls it. Callers go through the Feed helper,
+// which falls back to per-entry At calls.
+type Feeder interface {
+	Clock
+	// Feed queues fn(i) to run at time at(i) for every 0 ≤ i < n, under
+	// the package comment's equivalence with n consecutive At calls.
+	// Entries cannot be cancelled. The caller guarantees that at is
+	// non-decreasing and never NaN, that at(0) ≥ Now(), and that no
+	// earlier feed still has unfired entries; a violation is a caller
+	// bug and panics, as At does for a time in the past. at and fn are
+	// called during the run, so what they read must stay unchanged until
+	// the last entry has fired.
+	Feed(n int, at func(i int) float64, fn func(i int))
+}
+
+// Feed schedules fn(i) at time at(i) for every 0 ≤ i < n, in index
+// order. When c is a Feeder and the batch meets Feeder.Feed's ordering
+// preconditions it goes to c.Feed; otherwise — any other clock, or a
+// batch that is unsorted, holds a NaN or starts in the past — it is n
+// At calls, which is what c.Feed is defined to be equivalent to and
+// which treats such a batch however c.At does.
+func Feed(c Clock, n int, at func(i int) float64, fn func(i int)) {
+	if f, ok := c.(Feeder); ok && feedable(c.Now(), n, at) {
+		f.Feed(n, at, fn)
+		return
+	}
+	for i := 0; i < n; i++ {
+		c.At(at(i), func() { fn(i) })
+	}
+}
+
+// feedable reports whether at(0..n) is non-decreasing, free of NaN and
+// not before now.
+func feedable(now float64, n int, at func(i int) float64) bool {
+	prev := now
+	for i := 0; i < n; i++ {
+		t := at(i)
+		if !(t >= prev) { // also catches NaN
+			return false
+		}
+		prev = t
+	}
+	return true
 }
 
 // Lane is one parallel lane of a sharded clock: a Clock view whose

@@ -2,6 +2,7 @@ package clock_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"libra/internal/clock"
@@ -255,6 +256,56 @@ func TestLifecycleTickerStopFromCallback(t *testing.T) {
 		}
 		if got := c.Now(); got != 3 {
 			t.Fatalf("Now=%g after stop, want 3 (no empty extra period)", got)
+		}
+	})
+}
+
+// clock.Feed is n consecutive At calls on every clock, whichever lane
+// the batch takes: the serial engine's Feed, or the helper's fallback
+// on the clocks that have none. Ties against events scheduled before
+// the batch go to those events, ties against later ones to the batch.
+func TestLifecycleFeedIsConsecutiveAts(t *testing.T) {
+	times := []float64{1, 1, 2, 2, 2, 4}
+	forEachEngine(t, func(t *testing.T, c lifecycleRunner) {
+		var got []int
+		c.At(1, func() { got = append(got, -1) })
+		c.At(2, func() { got = append(got, -2) })
+		clock.Feed(c, len(times),
+			func(i int) float64 { return times[i] },
+			func(i int) {
+				got = append(got, i)
+				if i == 2 {
+					c.Schedule(0, func() { got = append(got, -4) })
+				}
+			})
+		c.At(2, func() { got = append(got, -3) })
+		if c.Pending() != len(times)+3 {
+			t.Fatalf("Pending=%d before the run, want %d", c.Pending(), len(times)+3)
+		}
+		c.Run()
+		want := []int{-1, 0, 1, -2, 2, 3, 4, -3, -4, 5}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+		if c.Fired() != uint64(len(want)) || c.Pending() != 0 {
+			t.Fatalf("Fired=%d Pending=%d, want %d and 0", c.Fired(), c.Pending(), len(want))
+		}
+	})
+}
+
+// The helper is the forgiving door: a batch the serial engine's Feed
+// would reject as unsorted goes to At entry by entry, as it did before
+// Feed existed, and fires in time order.
+func TestLifecycleFeedUnsortedFallsBackToAt(t *testing.T) {
+	times := []float64{3, 1, 2, 1}
+	forEachEngine(t, func(t *testing.T, c lifecycleRunner) {
+		var got []int
+		clock.Feed(c, len(times),
+			func(i int) float64 { return times[i] },
+			func(i int) { got = append(got, i) })
+		c.Run()
+		if want := []int{1, 3, 2, 0}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("fired %v, want %v", got, want)
 		}
 	})
 }

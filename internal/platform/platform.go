@@ -636,6 +636,9 @@ func (p *Platform) Nodes() []*cluster.Node { return p.nodes }
 // needs a clock that can run its queue to exhaustion synchronously — the
 // sim engine, or a wall driver over a manual source (the equivalence
 // tests drive one); live serving uses StartServing/Ingest instead.
+// Arrivals go to the clock as one sorted batch (clock.Feed), so the set
+// is read in place during the run and must not be mutated until Run
+// returns.
 func (p *Platform) Run(set trace.Set) *Result {
 	runner, ok := p.clk.(clock.Runner)
 	if !ok {
@@ -654,10 +657,10 @@ func (p *Platform) Run(set trace.Set) *Result {
 		return p.result
 	}
 	p.arm()
-	for _, ti := range set.Invocations {
-		ti := ti
-		p.clk.At(ti.Arrival, func() { p.arrive(ti, 0) })
-	}
+	invs := set.Invocations
+	clock.Feed(p.clk, len(invs),
+		func(i int) float64 { return invs[i].Arrival },
+		func(i int) { p.arrive(invs[i], 0) })
 	runner.Run()
 	return p.collect()
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 
@@ -38,9 +39,9 @@ type LoadGen struct {
 	spec *function.Spec
 	rng  *rand.Rand
 
-	ticker   *clock.Ticker
-	acc      float64
-	deadline float64
+	ticker  *clock.Ticker
+	ticks   int64 // ticks fired: ticks × Period is the scheduled time since start
+	offered int64 // injections attempted so far, shed and failed included
 
 	injected atomic.Int64
 	failed   atomic.Int64
@@ -69,34 +70,34 @@ func (s *Server) StartLoad(cfg LoadGenConfig) (*LoadGen, error) {
 		done: make(chan struct{}),
 	}
 	s.drv.Submit(func() {
-		if cfg.Duration > 0 {
-			lg.deadline = s.drv.Now() + cfg.Duration
-		}
 		lg.ticker = clock.Every(s.drv, cfg.Period, lg.tick)
 	})
 	return lg, nil
 }
 
-// tick runs on the loop goroutine: it injects the batch the elapsed
-// period owes and retires the generator once the deadline passes. A
-// deadline mid-period only owes the slice of the period before it, so
-// total offered load is Rate×Duration instead of overshooting by up to
-// one full period.
+// tick runs on the loop goroutine: it injects what the run owes by the
+// end of this period and has not offered yet, and retires the generator
+// with the tick that reaches Duration. A Duration that ends mid-period
+// owes only up to the deadline, so total offered load is Rate×Duration
+// instead of overshooting by up to one full period.
+//
+// Time is counted in ticks fired, never read from the driver: the k-th
+// tick was scheduled k periods after the start however late the loop
+// pops it, and the instant StartLoad's submission happened to land on
+// has no say. (Comparing Now() with a deadline stamped there lost a
+// whole request whenever the ticker's accumulated fire time came out
+// one ulp past it.) The 1e-9 keeps a product that should be a whole
+// number from flooring to the one below.
 func (lg *LoadGen) tick() {
-	quota := lg.cfg.Rate * lg.cfg.Period
-	if lg.deadline > 0 {
-		if over := lg.srv.drv.Now() - lg.deadline; over > 0 {
-			if rem := lg.cfg.Period - over; rem > 0 {
-				quota = lg.cfg.Rate * rem
-			} else {
-				quota = 0
-			}
-		}
+	lg.ticks++
+	elapsed := float64(lg.ticks) * lg.cfg.Period
+	last := lg.cfg.Duration > 0 && elapsed >= lg.cfg.Duration
+	if last {
+		elapsed = lg.cfg.Duration
 	}
-	lg.acc += quota
-	n := int(lg.acc)
-	lg.acc -= float64(n)
-	for i := 0; i < n; i++ {
+	n := int64(math.Floor(lg.cfg.Rate*elapsed+1e-9)) - lg.offered
+	lg.offered += n
+	for i := int64(0); i < n; i++ {
 		// The generator is open-loop but not admission-exempt: offered
 		// load beyond the pending budget is shed here, exactly like HTTP
 		// callers see 429s.
@@ -111,7 +112,7 @@ func (lg *LoadGen) tick() {
 		}
 		lg.injected.Add(1)
 	}
-	if lg.deadline > 0 && lg.srv.drv.Now() >= lg.deadline {
+	if last {
 		lg.stopLocked()
 	}
 }

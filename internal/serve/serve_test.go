@@ -206,11 +206,16 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
-// loadGenRun drives one bounded open-loop run to completion and returns
-// (injected, completed).
+// loadGenRun drives one bounded open-loop run to completion on a fresh
+// test server and returns (injected, completed).
 func loadGenRun(t *testing.T, seed int64) (int64, int64) {
 	t.Helper()
-	srv := newTestServer(t, "")
+	return loadGenRunOn(t, newTestServer(t, ""), seed)
+}
+
+// loadGenRunOn is loadGenRun on a started server of the caller's making.
+func loadGenRunOn(t *testing.T, srv *serve.Server, seed int64) (int64, int64) {
+	t.Helper()
 	app := testApp(t)
 	lg, err := srv.StartLoad(serve.LoadGenConfig{
 		App: app.Name, Rate: 2000, Duration: 0.5, Seed: seed,
@@ -346,6 +351,40 @@ func TestLoadGenClampsFinalBatch(t *testing.T) {
 	}
 	if lg.Shed() != 0 || lg.Failed() != 0 {
 		t.Fatalf("shed=%d failed=%d, want 0 (counts would mask the clamp)", lg.Shed(), lg.Failed())
+	}
+}
+
+// TestLoadGenOfferedLoadIgnoresStartInstant is the regression test for
+// the one-ulp bug behind TestLoadGenDrainsAndIsDeterministic's flake:
+// the generator used to stamp its deadline at whatever manual time the
+// free-running loop had reached when StartLoad's submission landed, and
+// for some of those instants the 250th tick's accumulated fire time
+// came out one ulp past the deadline, prorating the last batch to
+// 3.999… and dropping a request. Offered load is a count of ticks now,
+// so every start instant must inject exactly Rate×Duration.
+func TestLoadGenOfferedLoadIgnoresStartInstant(t *testing.T) {
+	bases := 1000
+	if testing.Short() {
+		bases = 100
+	}
+	for i := 0; i < bases; i++ {
+		src := clock.NewManualSource()
+		src.Advance(float64(i) * 0.0137)
+		srv, err := serve.New(serve.Config{
+			Platform:     platform.PresetDefault(platform.MultiNode(), 1),
+			Source:       src,
+			DrainTimeout: 10 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		// 0.5 s at 2000 req/s: nothing is shed, so injected is offered.
+		if injected, _ := loadGenRunOn(t, srv, 3); injected != 1000 {
+			t.Fatalf("base %d (t=%g): injected %d, want 1000", i, float64(i)*0.0137, injected)
+		}
 	}
 }
 

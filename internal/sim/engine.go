@@ -20,6 +20,14 @@
 // recycled event cannot cancel its successor — the cluster routinely
 // cancels events that have already fired (completion re-rating, the
 // safeguard and OOM timers), and those stale cancels must stay no-ops.
+//
+// Beside the heap the engine has a second lane for a batch that arrives
+// already sorted by time (Feed — a trace's arrivals): an index into the
+// caller's data instead of one heap slot, record and closure per entry.
+// Each entry holds the sequence number the equivalent At call would
+// have been given, and Step fires the smaller of the two lanes' heads
+// under the same (at, seq) order, so a fed run is the same program as
+// one that scheduled every entry with At.
 package sim
 
 import (
@@ -92,12 +100,24 @@ func (h *eventHeap) Pop() any {
 // the queue: compaction only pays off once the dead fraction is large.
 const compactMin = 64
 
+// feed is the sorted lane: entries [next, n) of the batch handed to
+// Feed are still to fire, entry i at time at(i) with sequence number
+// seq0+i. head caches at(next) so Step compares lanes without a call.
+type feed struct {
+	at      func(i int) float64
+	fn      func(i int)
+	next, n int
+	seq0    uint64
+	head    float64
+}
+
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with NewEngine.
 type Engine struct {
 	now       float64
 	seq       uint64
 	queue     eventHeap
+	feed      feed
 	ncanceled int      // cancelled events still parked in the queue
 	free      []*Event // recycled event records
 	fired     uint64
@@ -106,7 +126,10 @@ type Engine struct {
 }
 
 // Engine satisfies the clock contract the platform is written against.
-var _ clock.Runner = (*Engine)(nil)
+var (
+	_ clock.Runner = (*Engine)(nil)
+	_ clock.Feeder = (*Engine)(nil)
+)
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
@@ -118,15 +141,17 @@ func NewEngine() *Engine {
 // reads exactly the callback's scheduled fire time.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of live events still queued. Cancelled
-// events lazily parked in the queue (see Cancel) are not counted: from
-// the caller's perspective they will never fire, so "pending" means
-// exactly the events that still can.
-func (e *Engine) Pending() int { return len(e.queue) - e.ncanceled }
+// Pending returns the number of live events still queued, unfired feed
+// entries included. Cancelled events lazily parked in the queue (see
+// Cancel) are not counted: from the caller's perspective they will never
+// fire, so "pending" means exactly the events that still can.
+func (e *Engine) Pending() int {
+	return len(e.queue) - e.ncanceled + e.feed.n - e.feed.next
+}
 
-// QueueLen returns the physical queue length, including cancelled events
-// that have not been collected yet. Diagnostics only — Pending is the
-// semantic count.
+// QueueLen returns the physical length of the heap lane only: cancelled
+// events that have not been collected yet count, unfired feed entries do
+// not. Diagnostics only — Pending is the semantic count.
 func (e *Engine) QueueLen() int { return len(e.queue) }
 
 // Fired returns how many events have executed so far.
@@ -185,6 +210,48 @@ func (e *Engine) At(t float64, fn func()) Handle {
 	return clock.NewHandle(ev, ev.gen)
 }
 
+// Feed implements clock.Feeder: fn(i) runs at virtual time at(i) for
+// every 0 ≤ i < n, exactly as if each entry had been scheduled by an At
+// call made now, in index order — the block of n sequence numbers is
+// reserved here. The entries take no heap slot, event record or closure.
+// Feed panics when at is not non-decreasing, yields NaN or starts before
+// Now, and when an earlier feed still has unfired entries.
+func (e *Engine) Feed(n int, at func(i int) float64, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	if e.feed.next < e.feed.n {
+		panic(fmt.Sprintf("sim: Feed with %d entries of an earlier feed still pending", e.feed.n-e.feed.next))
+	}
+	prev := e.now
+	for i := 0; i < n; i++ {
+		t := at(i)
+		if !(t >= prev) { // also catches NaN
+			panic(fmt.Sprintf("sim: feed entry %d at t=%g is NaN or earlier than its predecessor (%g; now=%g)", i, t, prev, e.now))
+		}
+		prev = t
+	}
+	e.feed = feed{at: at, fn: fn, n: n, seq0: e.seq, head: at(0)}
+	e.seq += uint64(n)
+}
+
+// feedFirst reports whether the feed's head fires before the heap's top
+// under the engine's (at, seq) order.
+func (e *Engine) feedFirst() bool {
+	f := &e.feed
+	if f.next >= f.n {
+		return false
+	}
+	if len(e.queue) == 0 {
+		return true
+	}
+	top := e.queue[0]
+	if f.head != top.at {
+		return f.head < top.at
+	}
+	return f.seq0+uint64(f.next) < top.seq
+}
+
 // Cancel marks the handled event so it will not fire, per the Clock
 // contract: cancelling an already-fired, already-cancelled, stale
 // (recycled) or zero handle is a no-op, as is a handle issued by another
@@ -231,10 +298,18 @@ func (e *Engine) compact() {
 	e.ncanceled = 0
 }
 
-// Step pops and runs the next live event. It returns false when no live
-// events remain.
+// Step runs the next live event — the heap's top or the feed's head,
+// whichever is first. It returns false when no live events remain in
+// either lane.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
+	for {
+		if e.feedFirst() {
+			e.fireFeed()
+			return true
+		}
+		if len(e.queue) == 0 {
+			return false
+		}
 		ev := heap.Pop(&e.queue).(*Event)
 		if ev.canceled {
 			e.ncanceled--
@@ -254,10 +329,28 @@ func (e *Engine) Step() bool {
 		}
 		return true
 	}
-	return false
 }
 
-// Run executes events until the queue drains.
+// fireFeed runs the feed's head entry as Step runs a heap event.
+func (e *Engine) fireFeed() {
+	f := &e.feed
+	i, fn := f.next, f.fn
+	e.now = f.head
+	e.fired++
+	// Advance before running the callback, as the heap lane recycles
+	// before it: the entry is spent the instant it fires.
+	if f.next++; f.next < f.n {
+		f.head = f.at(f.next)
+	} else {
+		*f = feed{} // let go of the caller's data
+	}
+	fn(i)
+	if e.postStep != nil {
+		e.postStep()
+	}
+}
+
+// Run executes events until both lanes drain.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -271,8 +364,8 @@ func (e *Engine) Run() {
 // still parked in the queue when their instant passes.
 func (e *Engine) RunUntil(t float64) {
 	for {
-		ev := e.peek()
-		if ev == nil || ev.at > t {
+		next, ok := e.peek()
+		if !ok || next > t {
 			break
 		}
 		e.Step()
@@ -282,21 +375,26 @@ func (e *Engine) RunUntil(t float64) {
 	}
 }
 
-func (e *Engine) peek() *Event {
-	for len(e.queue) > 0 {
-		if e.queue[0].canceled {
-			ev := heap.Pop(&e.queue).(*Event)
-			e.ncanceled--
-			e.release(ev)
-			continue
-		}
-		return e.queue[0]
+// peek returns the fire time of the event Step would run next, or false
+// when both lanes are empty. Cancelled heap tops are collected on the way.
+func (e *Engine) peek() (float64, bool) {
+	for len(e.queue) > 0 && e.queue[0].canceled {
+		ev := heap.Pop(&e.queue).(*Event)
+		e.ncanceled--
+		e.release(ev)
 	}
-	return nil
+	switch {
+	case e.feedFirst():
+		return e.feed.head, true
+	case len(e.queue) > 0:
+		return e.queue[0].at, true
+	}
+	return 0, false
 }
 
-// MaxQueueLen reports the high-water mark of the event queue, useful when
-// sizing scalability experiments.
+// MaxQueueLen reports the high-water mark of QueueLen — the heap lane
+// only, so a fed batch does not show — useful when sizing scalability
+// experiments.
 func (e *Engine) MaxQueueLen() int { return e.maxLen }
 
 // SetPostStep installs a hook that runs after every fired event callback,

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -419,4 +421,130 @@ func TestEveryPanicsOnNonPositivePeriod(t *testing.T) {
 		}
 	}()
 	e.Every(0, func() {})
+}
+
+// feedTimes feeds e a batch firing at ts, logging each entry's index.
+func feedTimes(e *Engine, ts []float64, got *[]int) {
+	e.Feed(len(ts), func(i int) float64 { return ts[i] }, func(i int) { *got = append(*got, i) })
+}
+
+// Feed's preconditions are caller bugs and panic, as At(past) does.
+func TestFeedPanicsOnContractViolation(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		feed func(e *Engine)
+	}{
+		{"unsorted", func(e *Engine) { feedTimes(e, []float64{1, 3, 2}, new([]int)) }},
+		{"NaN", func(e *Engine) { feedTimes(e, []float64{1, nan, 2}, new([]int)) }},
+		{"NaN first", func(e *Engine) { feedTimes(e, []float64{nan}, new([]int)) }},
+		{"past", func(e *Engine) {
+			e.RunUntil(5)
+			feedTimes(e, []float64{4, 6}, new([]int))
+		}},
+		{"double", func(e *Engine) {
+			feedTimes(e, []float64{1, 2}, new([]int))
+			e.Step()
+			feedTimes(e, []float64{3}, new([]int))
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Feed did not panic")
+				}
+			}()
+			c.feed(NewEngine())
+		})
+	}
+}
+
+// A feed that has fired its last entry is gone: the next one is legal,
+// even from that last entry's own callback.
+func TestFeedAfterDrainedFeed(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	e.Feed(2, func(i int) float64 { return float64(i) }, func(i int) {
+		got = append(got, i)
+		if i == 1 {
+			feedTimes(e, []float64{1, 5}, &got)
+		}
+	})
+	e.Run()
+	e.Feed(0, nil, nil) // an empty batch is a no-op
+	if want := []int{0, 1, 0, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if e.Now() != 5 || e.Fired() != 4 || e.Pending() != 0 {
+		t.Fatalf("Now = %g, Fired = %d, Pending = %d, want 5, 4, 0", e.Now(), e.Fired(), e.Pending())
+	}
+}
+
+// Same-instant ties resolve by the sequence block reserved at the Feed
+// call: events scheduled before it win, events scheduled after it lose.
+func TestFeedTieBreakBySequence(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	e.At(1, func() { got = append(got, -1) })
+	feedTimes(e, []float64{1, 1, 2}, &got)
+	e.At(1, func() { got = append(got, -2) })
+	e.At(2, func() { got = append(got, -3) })
+	e.Run()
+	if want := []int{-1, 0, 1, -2, 2, -3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// Unfired feed entries are events that still can fire: Pending counts
+// them, RunUntil stops between them, and QueueLen — the heap — does not.
+func TestFeedCountsAsPending(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	e.Schedule(10, func() {})
+	feedTimes(e, []float64{1, 2, 3}, &got)
+	if e.Pending() != 4 || e.QueueLen() != 1 {
+		t.Fatalf("Pending = %d, QueueLen = %d, want 4, 1", e.Pending(), e.QueueLen())
+	}
+	e.RunUntil(2.5)
+	if len(got) != 2 || e.Now() != 2.5 || e.Pending() != 2 {
+		t.Fatalf("after RunUntil(2.5): fired %v, Now = %g, Pending = %d", got, e.Now(), e.Pending())
+	}
+	e.Run()
+	if e.Pending() != 0 || e.Fired() != 4 || e.Now() != 10 {
+		t.Fatalf("after Run: Pending = %d, Fired = %d, Now = %g", e.Pending(), e.Fired(), e.Now())
+	}
+}
+
+// The post-step hook runs after feed fires as after heap fires, with the
+// clock still at the entry's time.
+func TestFeedRunsPostStep(t *testing.T) {
+	e := NewEngine()
+	var seen []float64
+	e.SetPostStep(func() { seen = append(seen, e.Now()) })
+	feedTimes(e, []float64{1, 1, 4}, new([]int))
+	e.Schedule(2, func() {})
+	e.Run()
+	if want := []float64{1, 1, 2, 4}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("post-step saw %v, want %v", seen, want)
+	}
+}
+
+// What Feed is for: the heap holds in-flight work only. 10 000 entries,
+// each scheduling a child that dies before the next entry arrives, never
+// put more than the child in the heap.
+func TestFeedKeepsHeapShallow(t *testing.T) {
+	e := NewEngine()
+	const n = 10000
+	children := 0
+	e.Feed(n, func(i int) float64 { return float64(i) }, func(int) {
+		e.Schedule(0.5, func() { children++ })
+	})
+	e.Run()
+	if children != n || e.Fired() != 2*n {
+		t.Fatalf("children = %d, Fired = %d, want %d, %d", children, e.Fired(), n, 2*n)
+	}
+	if e.MaxQueueLen() > 2 {
+		t.Fatalf("MaxQueueLen = %d after a %d-entry feed, want ≤ 2 (children in flight)", e.MaxQueueLen(), n)
+	}
 }

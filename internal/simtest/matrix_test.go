@@ -4,19 +4,35 @@ import (
 	"runtime"
 	"testing"
 
+	"libra/internal/clock"
 	"libra/internal/cluster"
 	"libra/internal/core"
 	"libra/internal/faults"
 	"libra/internal/function"
 	"libra/internal/platform"
+	"libra/internal/sim"
 	"libra/internal/simtest"
 	"libra/internal/trace"
 )
 
+// serialNoFeed is the serial engine with its Feed hidden: the struct
+// embeds only clock.Runner, so clock.Feed takes its fallback and every
+// arrival is one At call. Replaying it against Serial pins the engine's
+// feed lane to the At path it is defined by — and is the fallback's own
+// coverage, which the wall driver, the sharded engine and any wrapping
+// Runner still run.
+func serialNoFeed() simtest.EngineFactory {
+	return simtest.EngineFactory{
+		Name: "serial-nofeed",
+		New:  func() clock.Clock { return struct{ clock.Runner }{sim.NewEngine()} },
+	}
+}
+
 // TestShardedMatchesSerialMatrix is the acceptance matrix for the
 // sharded engine: every (variant × seed × faults × autoscale) cell must
 // replay byte-identically — report and full lifecycle trace — on the
-// serial engine and on the sharded engine at several lane counts. Under
+// serial engine (arrivals fed, and arrivals scheduled one by one) and on
+// the sharded engine at several lane counts. Under
 // -short only one representative cell per variant runs (the fully-loaded
 // one: faults on, autoscale on); the CI parallel-equiv job runs the full
 // cross product under -race.
@@ -52,5 +68,5 @@ func TestShardedMatchesSerialMatrix(t *testing.T) {
 	if lanes < 3 {
 		lanes = 3
 	}
-	m.Run(t, simtest.Serial(), simtest.ShardedLanes(2), simtest.ShardedLanes(lanes))
+	m.Run(t, simtest.Serial(), serialNoFeed(), simtest.ShardedLanes(2), simtest.ShardedLanes(lanes))
 }
