@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check fmt-check vet bench bench-digest bench-json bench-pr8 bench-pr9 bench-pr10 quick report examples clean figs4-smoke scale-race parallel-equiv
+.PHONY: all build test race check fmt-check vet bench bench-digest fuzz-mlkit bench-json bench-pr8 bench-pr9 bench-pr10 quick report examples clean figs4-smoke scale-race parallel-equiv
 
 # Default verify path: formatting, vet, build, tests — then the race
 # detector over the whole module (the parallel experiment harness must
@@ -28,9 +28,10 @@ vet:
 	$(GO) vet ./...
 
 # Before sending any change to the event engine (internal/sim,
-# internal/clock) or to internal/platform, also run `make bench-digest`:
-# the tests here pin behaviour on small traces, the digests pin it on the
-# 250k-invocation replays the benchmark scores.
+# internal/clock), to internal/platform, or to what decides every harvest
+# (internal/profiler, internal/mlkit, internal/histogram), also run
+# `make bench-digest`: the tests here pin behaviour on small traces, the
+# digests pin it on the 250k-invocation replays the benchmark scores.
 check: fmt-check vet build test
 
 # Replay-correctness gate: every replay workload of ./bench, on the
@@ -48,6 +49,13 @@ bench-digest:
 	    esac; \
 	  done; done; \
 	done
+
+# The sweep split search against the per-threshold recount it replaced
+# (internal/mlkit/tree_test.go), on mutated training sets: ties, NaN and
+# ±Inf values, repeated samples, midpoints that round onto a value.
+# `go test` alone replays only the seed corpus.
+fuzz-mlkit:
+	$(GO) test -run '^$$' -fuzz FuzzGiniSweepMatchesScan -fuzztime 20s ./internal/mlkit/
 
 # benchstat-comparable output: pipe two runs into benchstat to compare.
 bench:

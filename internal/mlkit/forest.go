@@ -24,47 +24,80 @@ func (c *ForestConfig) defaults() {
 	}
 }
 
+// forest is the fitted state both ensembles share: every tree's nodes in
+// one array, tree t occupying the preorder run that starts at roots[t].
+type forest struct {
+	nodes []node
+	roots []int32
+}
+
+// fit grows cfg.Trees bagged trees over X. A bootstrap resample is a list
+// of row indices handed to grow as its sample set; no rows are copied.
+func (f *forest) fit(X [][]float64, cfg ForestConfig, grow func(g *grower, idx []int)) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	g := grower{cols: columns(X), nodes: f.nodes[:0]}
+	f.roots = f.roots[:0]
+	n := len(X)
+	idx := make([]int, n)
+	for t := 0; t < cfg.Trees; t++ {
+		for i := range idx {
+			idx[i] = rng.Intn(n)
+		}
+		g.cfg = TreeConfig{
+			MaxDepth:       cfg.MaxDepth,
+			MinSamplesLeaf: cfg.MinSamplesLeaf,
+			MaxFeatures:    cfg.MaxFeatures,
+			featurePick:    featurePicker(rng, cfg.MaxFeatures),
+		}
+		f.roots = append(f.roots, int32(len(g.nodes)))
+		grow(&g, idx)
+	}
+	f.nodes = g.nodes
+}
+
+// Nodes returns how many tree nodes the fitted forest holds.
+func (f *forest) Nodes() int { return len(f.nodes) }
+
+// AppendThresholds appends the split threshold of every internal node
+// that tests feature feat. Between two adjacent thresholds of a feature
+// no x[feat] <= thr comparison in the forest changes its outcome.
+func (f *forest) AppendThresholds(dst []float64, feat int) []float64 {
+	for i := range f.nodes {
+		if int(f.nodes[i].feat) == feat {
+			dst = append(dst, f.nodes[i].thr)
+		}
+	}
+	return dst
+}
+
 // RandomForestClassifier is a bagged ensemble of CART classifiers with
 // majority voting — the model the paper selects for the profiler's CPU and
 // memory usage-peak predictions (§4.3.1, §8.6).
 type RandomForestClassifier struct {
 	Config ForestConfig
-	trees  []*DecisionTreeClassifier
-	k      int
+	forest
+	k int
 }
 
 // FitClassifier implements Classifier.
 func (f *RandomForestClassifier) FitClassifier(X [][]float64, y []int) {
 	checkFit(X, len(y))
 	f.Config.defaults()
-	rng := rand.New(rand.NewSource(f.Config.Seed))
 	f.k = NumClasses(y)
-	f.trees = make([]*DecisionTreeClassifier, f.Config.Trees)
-	n := len(X)
-	for t := range f.trees {
-		bx := make([][]float64, n)
-		by := make([]int, n)
-		for i := 0; i < n; i++ {
-			j := rng.Intn(n)
-			bx[i], by[i] = X[j], y[j]
-		}
-		tree := &DecisionTreeClassifier{Config: TreeConfig{
-			MaxDepth:       f.Config.MaxDepth,
-			MinSamplesLeaf: f.Config.MinSamplesLeaf,
-			MaxFeatures:    f.Config.MaxFeatures,
-			featurePick:    featurePicker(rng, f.Config.MaxFeatures),
-		}}
-		tree.FitClassifier(bx, by)
-		f.trees[t] = tree
-	}
+	f.fit(X, f.Config, func(g *grower, idx []int) { g.growClassifier(y, f.k, idx, 0) })
 }
 
 // PredictClass implements Classifier by majority vote; ties break toward
 // the smaller class index (deterministic).
 func (f *RandomForestClassifier) PredictClass(x []float64) int {
-	votes := make([]int, f.k)
-	for _, t := range f.trees {
-		votes[t.PredictClass(x)]++
+	checkFitted(len(f.roots))
+	var few [16]int // the profiler's forests vote over 8 classes: no allocation
+	votes := few[:min(f.k, len(few))]
+	if f.k > len(few) {
+		votes = make([]int, f.k)
+	}
+	for _, r := range f.roots {
+		votes[leaf(f.nodes, r, x).class]++
 	}
 	best, bestN := 0, -1
 	for c, n := range votes {
@@ -79,41 +112,24 @@ func (f *RandomForestClassifier) PredictClass(x []float64) int {
 // aggregation — the paper's execution-time predictor (§4.3.1).
 type RandomForestRegressor struct {
 	Config ForestConfig
-	trees  []*DecisionTreeRegressor
+	forest
 }
 
 // FitRegressor implements Regressor.
 func (f *RandomForestRegressor) FitRegressor(X [][]float64, y []float64) {
 	checkFit(X, len(y))
 	f.Config.defaults()
-	rng := rand.New(rand.NewSource(f.Config.Seed))
-	f.trees = make([]*DecisionTreeRegressor, f.Config.Trees)
-	n := len(X)
-	for t := range f.trees {
-		bx := make([][]float64, n)
-		by := make([]float64, n)
-		for i := 0; i < n; i++ {
-			j := rng.Intn(n)
-			bx[i], by[i] = X[j], y[j]
-		}
-		tree := &DecisionTreeRegressor{Config: TreeConfig{
-			MaxDepth:       f.Config.MaxDepth,
-			MinSamplesLeaf: f.Config.MinSamplesLeaf,
-			MaxFeatures:    f.Config.MaxFeatures,
-			featurePick:    featurePicker(rng, f.Config.MaxFeatures),
-		}}
-		tree.FitRegressor(bx, by)
-		f.trees[t] = tree
-	}
+	f.fit(X, f.Config, func(g *grower, idx []int) { g.growRegressor(y, idx, 0) })
 }
 
 // Predict implements Regressor.
 func (f *RandomForestRegressor) Predict(x []float64) float64 {
+	checkFitted(len(f.roots))
 	s := 0.0
-	for _, t := range f.trees {
-		s += t.Predict(x)
+	for _, r := range f.roots {
+		s += leaf(f.nodes, r, x).thr
 	}
-	return s / float64(len(f.trees))
+	return s / float64(len(f.roots))
 }
 
 func featurePicker(rng *rand.Rand, maxFeatures int) func(n int) []int {

@@ -1,22 +1,44 @@
 package mlkit
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
-// treeNode is one node of a CART decision tree. Leaves have feature == -1.
-type treeNode struct {
-	feature   int
-	threshold float64
-	left      *treeNode
-	right     *treeNode
-	// leaf payloads
-	class int     // classification
-	value float64 // regression
+// node is one node of a CART decision tree. A tree is a run of nodes in
+// preorder inside one slice: the left child of the internal node at index
+// i is i+1, its right child is nodes[i].right. A leaf has feat == -1 and
+// carries its payload in class (classification) or thr (regression).
+type node struct {
+	thr   float64
+	feat  int32
+	right int32
+	class int32
 }
 
-func (n *treeNode) isLeaf() bool { return n.feature < 0 }
+// leaf walks the tree rooted at nodes[root] down to the leaf x falls in.
+func leaf(nodes []node, root int32, x []float64) *node {
+	i := root
+	for {
+		n := &nodes[i]
+		if n.feat < 0 {
+			return n
+		}
+		if x[n.feat] <= n.thr {
+			i++
+		} else {
+			i = n.right
+		}
+	}
+}
+
+func checkFitted(nodes int) {
+	if nodes == 0 {
+		panic("mlkit: Predict before Fit")
+	}
+}
 
 // TreeConfig bounds tree growth. Zero values select the defaults noted on
 // each field.
@@ -41,13 +63,23 @@ func (c *TreeConfig) defaults() {
 	}
 }
 
+// labelled is one training sample as the Gini sweep sees it: the value of
+// the feature under consideration and the class label.
+type labelled struct {
+	v float64
+	y int
+}
+
 // splitScratch holds the split-search working buffers, reused across
-// every node of one Fit: per-threshold class counts, the sorted feature
-// values, the all-features candidate list, and the partition buffer.
-// Training fits thousands of nodes per model and the window estimator
-// refits per prediction, so these were the simulator's top allocators.
+// every node of one Fit: class counts, the node's samples sorted by the
+// feature under consideration, its samples gathered in idx order, the
+// all-features candidate list, and the partition buffer. A forest fits
+// thousands of nodes per model and the profiler trains six forests per
+// function, so these were the simulator's top allocators.
 type splitScratch struct {
+	pairs  []labelled
 	vals   []float64
+	xs, ys []float64
 	lc, rc []int
 	feats  []int
 	part   []int
@@ -61,146 +93,170 @@ func (sc *splitScratch) counts(k int) (lc, rc []int) {
 	return sc.lc[:k], sc.rc[:k]
 }
 
+// grower appends trees to nodes, one preorder run per grow call. The
+// training set is held column-major (cols[f][i] is feature f of sample i)
+// so the split search reads one contiguous column per feature; idx names
+// the samples of the node being grown and may repeat a sample, which is
+// how a forest passes a bootstrap resample without copying rows.
+type grower struct {
+	cfg   TreeConfig
+	cols  [][]float64
+	nodes []node
+	sc    splitScratch
+}
+
+// columns transposes row-major X.
+func columns(X [][]float64) [][]float64 {
+	n := len(X)
+	flat := make([]float64, len(X[0])*n)
+	cols := make([][]float64, len(X[0]))
+	for f := range cols {
+		cols[f] = flat[f*n : (f+1)*n]
+		for i, row := range X {
+			cols[f][i] = row[f]
+		}
+	}
+	return cols
+}
+
+func identity(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
 // DecisionTreeClassifier is a CART classifier using Gini impurity.
 type DecisionTreeClassifier struct {
 	Config TreeConfig
-	root   *treeNode
-	k      int
-	sc     splitScratch
+	nodes  []node
 }
 
 // FitClassifier implements Classifier.
 func (t *DecisionTreeClassifier) FitClassifier(X [][]float64, y []int) {
 	checkFit(X, len(y))
 	t.Config.defaults()
-	t.k = NumClasses(y)
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.root = t.grow(X, y, idx, 0)
+	g := grower{cfg: t.Config, cols: columns(X)}
+	g.growClassifier(y, NumClasses(y), identity(len(X)), 0)
+	t.nodes = g.nodes
 }
 
 // PredictClass implements Classifier.
 func (t *DecisionTreeClassifier) PredictClass(x []float64) int {
-	n := t.root
-	for !n.isLeaf() {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.class
+	checkFitted(len(t.nodes))
+	return int(leaf(t.nodes, 0, x).class)
 }
 
-func (t *DecisionTreeClassifier) grow(X [][]float64, y []int, idx []int, depth int) *treeNode {
-	counts := make([]int, t.k)
+// growClassifier appends the subtree over idx. The node is written as a
+// leaf first and promoted once both children exist, which is what keeps
+// the run in preorder.
+func (g *grower) growClassifier(y []int, k int, idx []int, depth int) {
+	counts, _ := g.sc.counts(k) // free until the split search below
+	for c := range counts {
+		counts[c] = 0
+	}
 	for _, i := range idx {
 		counts[y[i]]++
 	}
 	maj, majN := 0, -1
-	pure := false
 	for c, n := range counts {
 		if n > majN {
 			maj, majN = c, n
 		}
 	}
-	pure = majN == len(idx)
-	if pure || depth >= t.Config.MaxDepth || len(idx) < 2*t.Config.MinSamplesLeaf {
-		return &treeNode{feature: -1, class: maj}
+	self := len(g.nodes)
+	g.nodes = append(g.nodes, node{feat: -1, class: int32(maj)})
+	pure := majN == len(idx)
+	if pure || depth >= g.cfg.MaxDepth || len(idx) < 2*g.cfg.MinSamplesLeaf {
+		return
 	}
-	feat, thr, ok := bestSplitGini(X, y, idx, t.k, t.Config, &t.sc)
+	feat, thr, ok := bestSplitGini(g.cols, y, idx, k, g.cfg, &g.sc)
 	if !ok {
-		return &treeNode{feature: -1, class: maj}
+		return
 	}
-	li, ri := partition(X, idx, feat, thr, &t.sc)
-	if len(li) < t.Config.MinSamplesLeaf || len(ri) < t.Config.MinSamplesLeaf {
-		return &treeNode{feature: -1, class: maj}
+	li, ri := partition(g.cols[feat], idx, thr, &g.sc)
+	if len(li) < g.cfg.MinSamplesLeaf || len(ri) < g.cfg.MinSamplesLeaf {
+		return
 	}
-	return &treeNode{
-		feature:   feat,
-		threshold: thr,
-		left:      t.grow(X, y, li, depth+1),
-		right:     t.grow(X, y, ri, depth+1),
-	}
+	g.growClassifier(y, k, li, depth+1)
+	right := len(g.nodes)
+	g.growClassifier(y, k, ri, depth+1)
+	g.nodes[self] = node{thr: thr, feat: int32(feat), right: int32(right)}
 }
 
 // DecisionTreeRegressor is a CART regressor minimizing within-node variance.
 type DecisionTreeRegressor struct {
 	Config TreeConfig
-	root   *treeNode
-	sc     splitScratch
+	nodes  []node
 }
 
 // FitRegressor implements Regressor.
 func (t *DecisionTreeRegressor) FitRegressor(X [][]float64, y []float64) {
 	checkFit(X, len(y))
 	t.Config.defaults()
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.root = t.grow(X, y, idx, 0)
+	g := grower{cfg: t.Config, cols: columns(X)}
+	g.growRegressor(y, identity(len(X)), 0)
+	t.nodes = g.nodes
 }
 
 // Predict implements Regressor.
 func (t *DecisionTreeRegressor) Predict(x []float64) float64 {
-	n := t.root
-	for !n.isLeaf() {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.value
+	checkFitted(len(t.nodes))
+	return leaf(t.nodes, 0, x).thr
 }
 
-func (t *DecisionTreeRegressor) grow(X [][]float64, y []float64, idx []int, depth int) *treeNode {
-	mean, variance := meanVar(y, idx)
-	if variance == 0 || depth >= t.Config.MaxDepth || len(idx) < 2*t.Config.MinSamplesLeaf {
-		return &treeNode{feature: -1, value: mean}
+// growRegressor is growClassifier's regression twin; a leaf keeps the
+// mean of its samples in thr.
+func (g *grower) growRegressor(y []float64, idx []int, depth int) {
+	ys := g.sc.ys[:0]
+	for _, i := range idx {
+		ys = append(ys, y[i])
 	}
-	feat, thr, ok := bestSplitVariance(X, y, idx, t.Config, &t.sc)
+	g.sc.ys = ys
+	mean, variance := meanVar(ys)
+	self := len(g.nodes)
+	g.nodes = append(g.nodes, node{feat: -1, thr: mean})
+	if variance == 0 || depth >= g.cfg.MaxDepth || len(idx) < 2*g.cfg.MinSamplesLeaf {
+		return
+	}
+	feat, thr, ok := bestSplitVariance(g.cols, ys, idx, g.cfg, &g.sc)
 	if !ok {
-		return &treeNode{feature: -1, value: mean}
+		return
 	}
-	li, ri := partition(X, idx, feat, thr, &t.sc)
-	if len(li) < t.Config.MinSamplesLeaf || len(ri) < t.Config.MinSamplesLeaf {
-		return &treeNode{feature: -1, value: mean}
+	li, ri := partition(g.cols[feat], idx, thr, &g.sc)
+	if len(li) < g.cfg.MinSamplesLeaf || len(ri) < g.cfg.MinSamplesLeaf {
+		return
 	}
-	return &treeNode{
-		feature:   feat,
-		threshold: thr,
-		left:      t.grow(X, y, li, depth+1),
-		right:     t.grow(X, y, ri, depth+1),
-	}
+	g.growRegressor(y, li, depth+1)
+	right := len(g.nodes)
+	g.growRegressor(y, ri, depth+1)
+	g.nodes[self] = node{thr: thr, feat: int32(feat), right: int32(right)}
 }
 
-func meanVar(y []float64, idx []int) (mean, variance float64) {
-	for _, i := range idx {
-		mean += y[i]
+func meanVar(ys []float64) (mean, variance float64) {
+	for _, v := range ys {
+		mean += v
 	}
-	mean /= float64(len(idx))
-	for _, i := range idx {
-		d := y[i] - mean
+	mean /= float64(len(ys))
+	for _, v := range ys {
+		d := v - mean
 		variance += d * d
 	}
-	variance /= float64(len(idx))
+	variance /= float64(len(ys))
 	return mean, variance
 }
 
-// partition splits idx in place under (feat, thr), preserving relative
+// partition splits idx in place under col[i] <= thr, preserving relative
 // order on both sides exactly as the append-based formulation did: the
 // left subset compacts into the prefix while the right subset stages in
 // the scratch buffer and copies back behind it. The returned slices
 // alias idx — safe because grow's recursion keeps them disjoint.
-func partition(X [][]float64, idx []int, feat int, thr float64, sc *splitScratch) (left, right []int) {
+func partition(col []float64, idx []int, thr float64, sc *splitScratch) (left, right []int) {
 	buf := sc.part[:0]
 	w := 0
 	for _, i := range idx {
-		if X[i][feat] <= thr {
+		if col[i] <= thr {
 			idx[w] = i
 			w++
 		} else {
@@ -224,36 +280,48 @@ func candidateFeatures(nFeat int, cfg TreeConfig, sc *splitScratch) []int {
 	return all
 }
 
-// bestSplitGini scans candidate (feature, threshold) pairs and returns the
-// split with the lowest weighted Gini impurity.
-func bestSplitGini(X [][]float64, y []int, idx []int, k int, cfg TreeConfig, sc *splitScratch) (feat int, thr float64, ok bool) {
+// bestSplitGini returns the (feature, threshold) pair with the lowest
+// weighted Gini impurity among the midpoints of adjacent distinct values.
+//
+// Per feature the node's samples are sorted by value once and a cursor
+// sweeps them as the threshold rises, moving labels from the right class
+// counts to the left ones. The result is bit-identical to recounting every
+// sample per threshold (the reference scan in tree_test.go) because the
+// counts are integers and g is the same expression of them — given that
+// features are visited in candidate order and thresholds ascending under
+// the strict g < best, that a side left empty is skipped, and that the
+// cursor advances by value (v <= t), never by index: a midpoint may round
+// onto the upper value and must then take its duplicates along. A NaN
+// value is never <= t, so it stays on the right for every threshold.
+func bestSplitGini(cols [][]float64, y []int, idx []int, k int, cfg TreeConfig, sc *splitScratch) (feat int, thr float64, ok bool) {
 	best := math.Inf(1)
-	vals := sc.vals[:0]
 	lc, rc := sc.counts(k)
-	for _, f := range candidateFeatures(len(X[0]), cfg, sc) {
-		vals = vals[:0]
-		for _, i := range idx {
-			vals = append(vals, X[i][f])
+	ps := sc.pairs[:0]
+	for _, f := range candidateFeatures(len(cols), cfg, sc) {
+		col := cols[f]
+		for c := range lc {
+			lc[c], rc[c] = 0, 0
 		}
-		sort.Float64s(vals)
-		for vi := 0; vi+1 < len(vals); vi++ {
-			if vals[vi] == vals[vi+1] {
+		ps = ps[:0]
+		for _, i := range idx {
+			rc[y[i]]++
+			if v := col[i]; v == v {
+				ps = append(ps, labelled{v, y[i]})
+			}
+		}
+		slices.SortFunc(ps, func(a, b labelled) int { return cmp.Compare(a.v, b.v) })
+		ln := 0 // ps[:ln] is the left side
+		for vi := 0; vi+1 < len(ps); vi++ {
+			if ps[vi].v == ps[vi+1].v {
 				continue
 			}
-			t := (vals[vi] + vals[vi+1]) / 2
-			for c := range lc {
-				lc[c], rc[c] = 0, 0
+			t := (ps[vi].v + ps[vi+1].v) / 2
+			for ln < len(ps) && ps[ln].v <= t {
+				lc[ps[ln].y]++
+				rc[ps[ln].y]--
+				ln++
 			}
-			ln, rn := 0, 0
-			for _, i := range idx {
-				if X[i][f] <= t {
-					lc[y[i]]++
-					ln++
-				} else {
-					rc[y[i]]++
-					rn++
-				}
-			}
+			rn := len(idx) - ln
 			if ln == 0 || rn == 0 {
 				continue
 			}
@@ -263,7 +331,7 @@ func bestSplitGini(X [][]float64, y []int, idx []int, k int, cfg TreeConfig, sc 
 			}
 		}
 	}
-	sc.vals = vals[:0]
+	sc.pairs = ps[:0]
 	return feat, thr, ok
 }
 
@@ -277,14 +345,21 @@ func gini(counts []int, n int) float64 {
 }
 
 // bestSplitVariance returns the split minimizing the summed child SSE.
-func bestSplitVariance(X [][]float64, y []float64, idx []int, cfg TreeConfig, sc *splitScratch) (feat int, thr float64, ok bool) {
+// ys is y gathered in idx order. Every threshold re-adds its two sides in
+// idx order: float sums depend on the order of their terms, so a sorted
+// prefix-sum sweep like bestSplitGini's would move the chosen split by
+// ulps. Only the layout is fast — one contiguous column gathered once per
+// feature.
+func bestSplitVariance(cols [][]float64, ys []float64, idx []int, cfg TreeConfig, sc *splitScratch) (feat int, thr float64, ok bool) {
 	best := math.Inf(1)
-	vals := sc.vals[:0]
-	for _, f := range candidateFeatures(len(X[0]), cfg, sc) {
-		vals = vals[:0]
+	vals, xs := sc.vals[:0], sc.xs[:0]
+	for _, f := range candidateFeatures(len(cols), cfg, sc) {
+		col := cols[f]
+		xs = xs[:0]
 		for _, i := range idx {
-			vals = append(vals, X[i][f])
+			xs = append(xs, col[i])
 		}
+		vals = append(vals[:0], xs...)
 		sort.Float64s(vals)
 		for vi := 0; vi+1 < len(vals); vi++ {
 			if vals[vi] == vals[vi+1] {
@@ -292,18 +367,19 @@ func bestSplitVariance(X [][]float64, y []float64, idx []int, cfg TreeConfig, sc
 			}
 			t := (vals[vi] + vals[vi+1]) / 2
 			var ls, lss, rs, rss float64
-			ln, rn := 0, 0
-			for _, i := range idx {
-				if X[i][f] <= t {
-					ls += y[i]
-					lss += y[i] * y[i]
+			ln := 0
+			for j, v := range xs {
+				yv := ys[j]
+				if v <= t {
+					ls += yv
+					lss += yv * yv
 					ln++
 				} else {
-					rs += y[i]
-					rss += y[i] * y[i]
-					rn++
+					rs += yv
+					rss += yv * yv
 				}
 			}
+			rn := len(xs) - ln
 			if ln == 0 || rn == 0 {
 				continue
 			}
@@ -313,6 +389,6 @@ func bestSplitVariance(X [][]float64, y []float64, idx []int, cfg TreeConfig, sc
 			}
 		}
 	}
-	sc.vals = vals[:0]
+	sc.vals, sc.xs = vals[:0], xs[:0]
 	return feat, thr, ok
 }

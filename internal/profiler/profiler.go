@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 
 	"libra/internal/function"
@@ -169,6 +171,13 @@ type funcProfile struct {
 	durModel *mlkit.RandomForestRegressor
 	hist     *histogram.Model
 	report   FuncReport
+
+	// ML serving state, see predictML: per feature the sorted distinct
+	// split thresholds of the three forests, and the demands already
+	// walked out, keyed by the input's rank in each list.
+	cuts    [2][]float64
+	memo    map[uint64]function.Demand
+	memoMax int
 }
 
 // Profiler estimates invocation demands per function. It is safe for
@@ -192,9 +201,10 @@ func New(cfg Config) *Profiler {
 	}
 }
 
-// Predict estimates the demand of one invocation. The bool overhead
-// semantics: the returned trainOverhead is nonzero only on the
-// first-seen invocation that triggers offline profiling.
+// Predict estimates the demand of one invocation. trainOverhead is the
+// virtual time the call cost beyond a prediction: OfflineTrainOverhead on
+// the first-seen invocation, which triggers offline profiling, and zero
+// on every later one.
 func (p *Profiler) Predict(spec *function.Spec, in function.Input) (pred Prediction, trainOverhead float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -216,18 +226,7 @@ func (p *Profiler) Predict(spec *function.Spec, in function.Input) (pred Predict
 		}, OfflineTrainOverhead
 	}
 	if fp.useML {
-		x := features(in.Size)
-		cpu := function.CPUFromClass(fp.cpuModel.PredictClass(x))
-		mem := function.MemFromClass(fp.memModel.PredictClass(x))
-		dur := fp.durModel.Predict(x)
-		if dur < 0.05 {
-			dur = 0.05
-		}
-		return Prediction{
-			Demand:   function.Demand{CPUPeak: cpu, MemPeak: mem, Duration: dur},
-			Source:   SourceML,
-			Reliable: true,
-		}, 0
+		return Prediction{Demand: fp.predictML(in.Size), Source: SourceML, Reliable: true}, 0
 	}
 	if !fp.hist.Ready() {
 		// Profiling window: serve with maximum allocation to observe the
@@ -307,7 +306,53 @@ func (p *Profiler) profileOffline(spec *function.Spec, in function.Input) *funcP
 		fp.useML = fp.report.SizeRelated
 	}
 	fp.report.UseML = fp.useML
+	if fp.useML {
+		for f := range fp.cuts {
+			c := fp.cpuModel.AppendThresholds(nil, f)
+			c = fp.memModel.AppendThresholds(c, f)
+			c = fp.durModel.AppendThresholds(c, f)
+			sort.Float64s(c)
+			fp.cuts[f] = slices.Compact(c)
+		}
+		fp.memo = make(map[uint64]function.Demand)
+		fp.memoMax = fp.cpuModel.Nodes() + fp.memModel.Nodes() + fp.durModel.Nodes()
+	}
 	return fp
+}
+
+// predictML serves the forests' demand estimate for an input size.
+//
+// A tree only ever asks x[f] <= thr, so over features(size) the three
+// forests together are a step function: the answers to all their
+// comparisons are fixed by how many of feature f's thresholds lie below
+// x[f], for each f. SearchFloat64s computes exactly that rank — the first
+// i with cuts[i] >= v, so x[f] <= cuts[j] iff j >= rank, NaN ranking past
+// every threshold just as it fails every comparison — which makes the
+// rank pair an exact key for the prediction, with no assumption about how
+// the two features relate. The forests are walked on the first visit to a
+// cell only. A trace revisits a few hundred cells; memoMax (one entry per
+// tree node) bounds the table against an input stream that would not.
+func (fp *funcProfile) predictML(size float64) function.Demand {
+	x := features(size)
+	key := uint64(sort.SearchFloat64s(fp.cuts[0], x[0]))<<32 |
+		uint64(sort.SearchFloat64s(fp.cuts[1], x[1]))
+	if d, ok := fp.memo[key]; ok {
+		return d
+	}
+	d := fp.walk(x[:])
+	if len(fp.memo) < fp.memoMax {
+		fp.memo[key] = d
+	}
+	return d
+}
+
+// walk evaluates the three forests on one feature vector.
+func (fp *funcProfile) walk(x []float64) function.Demand {
+	return function.Demand{
+		CPUPeak:  function.CPUFromClass(fp.cpuModel.PredictClass(x)),
+		MemPeak:  function.MemFromClass(fp.memModel.PredictClass(x)),
+		Duration: math.Max(0.05, fp.durModel.Predict(x)),
+	}
 }
 
 // trainAndScore fits the three RF models on a 7:3 split and scores them.
@@ -339,8 +384,8 @@ func trainAndScore(fp *funcProfile, X [][]float64, cpuY, memY []int, durY []floa
 }
 
 // features maps an input size to the model feature vector.
-func features(size float64) []float64 {
-	return []float64{size, math.Log1p(size)}
+func features(size float64) [2]float64 {
+	return [2]float64{size, math.Log1p(size)}
 }
 
 // Duplicate is the workload duplicator (§4.2): it scales the first
@@ -369,7 +414,8 @@ func Duplicate(spec *function.Spec, in function.Input, maxDup int, noise float64
 		// allocator slabs) so they are exact; timing measurements carry
 		// relative noise.
 		dur := actual.Duration * (1 + noise*(2*rng.Float64()-1))
-		X = append(X, features(dup.Size))
+		x := features(dup.Size)
+		X = append(X, x[:])
 		cpuY = append(cpuY, function.CPUClass(actual.CPUPeak))
 		memY = append(memY, function.MemClass(actual.MemPeak))
 		durY = append(durY, dur)

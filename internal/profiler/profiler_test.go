@@ -3,6 +3,7 @@ package profiler
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"libra/internal/function"
@@ -307,5 +308,108 @@ func BenchmarkOfflineProfile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := New(Config{Seed: int64(i)})
 		p.Predict(dh, dh.SampleInput(rng))
+	}
+}
+
+// TestPredictMemoMatchesWalk checks the serving path against the thing it
+// memoises. Every catalogue app is forced onto its forests; sizes are the
+// app's own, plus every cut of both features mapped back to a size and
+// one ulp either side of it (the only places a cell boundary can be off
+// by one), plus the sizes no trace produces. Each is predicted twice, so
+// both the miss and the hit are compared with a fresh walk.
+func TestPredictMemoMatchesWalk(t *testing.T) {
+	for _, app := range function.Apps() {
+		p := New(Config{Seed: 21, Mode: MLOnly})
+		rng := rand.New(rand.NewSource(22))
+		p.Predict(app, app.SampleInput(rng))
+		fp := p.funcs[app.Name]
+
+		sizes := []float64{0, math.Copysign(0, -1), -0.5, -1, -3, 1e300, -1e300,
+			math.SmallestNonzeroFloat64, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
+		for i := 0; i < 2000; i++ {
+			sizes = append(sizes, app.SampleInput(rng).Size)
+		}
+		for f, cuts := range fp.cuts {
+			if !sort.Float64sAreSorted(cuts) {
+				t.Fatalf("%s: cuts[%d] not sorted", app.Name, f)
+			}
+			for _, c := range cuts {
+				if f == 1 {
+					c = math.Expm1(c)
+				}
+				sizes = append(sizes, c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)))
+			}
+		}
+
+		for _, size := range sizes {
+			x := features(size)
+			want := fp.walk(x[:])
+			for pass := 0; pass < 2; pass++ {
+				got, _ := p.Predict(app, function.Input{Size: size})
+				if got.Source != SourceML || !got.Reliable {
+					t.Fatalf("%s size %v: prediction %+v is not an ML one", app.Name, size, got)
+				}
+				if got.Demand != want {
+					t.Fatalf("%s size %v pass %d: memoised %+v, walk %+v", app.Name, size, pass, got.Demand, want)
+				}
+			}
+		}
+		nodes := fp.cpuModel.Nodes() + fp.memModel.Nodes() + fp.durModel.Nodes()
+		if len(fp.memo) == 0 || len(fp.memo) > nodes {
+			t.Fatalf("%s: memo holds %d cells for %d tree nodes", app.Name, len(fp.memo), nodes)
+		}
+	}
+}
+
+// TestPredictMemoIsBounded feeds an ML-served app more distinct cells
+// than memoMax allows and checks the table stops growing while the
+// predictions stay those of the walk.
+func TestPredictMemoIsBounded(t *testing.T) {
+	p := New(Config{Seed: 23, Mode: MLOnly})
+	dh := mustApp(t, "DH")
+	p.Predict(dh, function.Input{Size: 4000, Seed: 9})
+	fp := p.funcs["DH"]
+	fp.memoMax = 3
+	for _, c := range fp.cuts[0] {
+		x := features(c)
+		if got, _ := p.Predict(dh, function.Input{Size: c}); got.Demand != fp.walk(x[:]) {
+			t.Fatalf("size %v: %+v differs from the walk", c, got.Demand)
+		}
+	}
+	if len(fp.memo) != 3 {
+		t.Fatalf("memo holds %d cells, bound is 3", len(fp.memo))
+	}
+}
+
+func TestPredictDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	p := New(Config{Seed: 25})
+	dh, vp := mustApp(t, "DH"), mustApp(t, "VP")
+	p.Predict(dh, dh.SampleInput(rng))
+	p.Predict(vp, vp.SampleInput(rng))
+
+	in := function.Input{Size: 3000, Seed: 5}
+	if pred, _ := p.Predict(dh, in); pred.Source != SourceML {
+		t.Fatalf("DH served from %v", pred.Source)
+	}
+	if n := testing.AllocsPerRun(100, func() { p.Predict(dh, in) }); n != 0 {
+		t.Errorf("ML hit: %v allocs per Predict", n)
+	}
+
+	in = vp.SampleInput(rng)
+	if pred, _ := p.Predict(vp, in); pred.Source != SourceWarmup {
+		t.Fatalf("VP served from %v before its window filled", pred.Source)
+	}
+	if n := testing.AllocsPerRun(100, func() { p.Predict(vp, in) }); n != 0 {
+		t.Errorf("warm-up: %v allocs per Predict", n)
+	}
+	for i := 0; i < 10; i++ {
+		p.Observe(vp, in, vp.Demand(in))
+	}
+	if pred, _ := p.Predict(vp, in); pred.Source != SourceHistogram {
+		t.Fatalf("VP served from %v after its window filled", pred.Source)
+	}
+	if n := testing.AllocsPerRun(100, func() { p.Predict(vp, in) }); n != 0 {
+		t.Errorf("histogram: %v allocs per Predict", n)
 	}
 }
