@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check fmt-check vet bench bench-digest fuzz-mlkit bench-json bench-pr8 bench-pr9 bench-pr10 quick report examples clean figs4-smoke scale-race parallel-equiv
+.PHONY: all build test race check fmt-check vet bench bench-digest bench-ab fuzz-mlkit fuzz-sim bench-json bench-pr8 bench-pr9 bench-pr10 quick report examples clean figs4-smoke scale-race parallel-equiv
 
 # Default verify path: formatting, vet, build, tests — then the race
 # detector over the whole module (the parallel experiment harness must
@@ -50,12 +50,30 @@ bench-digest:
 	  done; done; \
 	done
 
+# The house rule for a performance claim, automated: ./bench built at BASE
+# and at the working tree, PAIRS alternating pairs of one workload at
+# 15 s a run, then per end-to-end metric each side's median [IQR], the
+# working tree's wins and the verdict (scripts/bench-ab.sh has the rule).
+# Ten pairs take about six minutes; repeat with SEED=7 before claiming.
+W ?= replay-baseline
+PAIRS ?= 10
+SEED ?= 42
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<ref> [W=<workload>] [PAIRS=10] [SEED=42]"; exit 2; }
+	./scripts/bench-ab.sh "$(BASE)" "$(W)" "$(PAIRS)" "$(SEED)"
+
 # The sweep split search against the per-threshold recount it replaced
 # (internal/mlkit/tree_test.go), on mutated training sets: ties, NaN and
 # ±Inf values, repeated samples, midpoints that round onto a value.
 # `go test` alone replays only the seed corpus.
 fuzz-mlkit:
 	$(GO) test -run '^$$' -fuzz FuzzGiniSweepMatchesScan -fuzztime 20s ./internal/mlkit/
+
+# The engine's 4-ary heap against the container/heap queue it replaced
+# (internal/sim/heapfuzz_test.go): push / pop / cancel / compact scripts
+# with most times tied. `go test` alone replays only the seed corpus.
+fuzz-sim:
+	$(GO) test -run '^$$' -fuzz FuzzHeapMatchesContainerHeap -fuzztime 20s ./internal/sim/
 
 # benchstat-comparable output: pipe two runs into benchstat to compare.
 bench:

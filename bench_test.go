@@ -251,7 +251,6 @@ func BenchmarkHotShardSelectLibra50(b *testing.B)     { benchkit.BenchShardSelec
 func BenchmarkHotShardSelectSaturated50(b *testing.B) { benchkit.BenchShardSelectSaturated50(b) }
 func BenchmarkHotPoolLifecycle(b *testing.B)          { benchkit.BenchPoolLifecycle(b) }
 func BenchmarkHotPlatformMultiNode(b *testing.B)      { benchkit.BenchPlatformMultiNode(b) }
-func BenchmarkHotDrainGateSaturated(b *testing.B)     { platform.BenchDrainHotPath(b) }
 func BenchmarkHotOverloadReplay500(b *testing.B)      { benchkit.BenchOverloadReplay500(b) }
 func BenchmarkHotOverloadReplay2000(b *testing.B)     { benchkit.BenchOverloadReplay2000(b) }
 func BenchmarkHotOverloadReplay8000(b *testing.B)     { benchkit.BenchOverloadReplay8000(b) }

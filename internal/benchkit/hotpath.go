@@ -26,7 +26,6 @@ func HotPath() []Bench {
 		{Name: "HotShardSelectSaturated50", F: BenchShardSelectSaturated50},
 		{Name: "HotPoolLifecycle", F: BenchPoolLifecycle},
 		{Name: "HotPlatformMultiNode", F: BenchPlatformMultiNode},
-		{Name: "HotDrainGateSaturated", F: platform.BenchDrainHotPath},
 		{Name: "HotOverloadReplay500", F: BenchOverloadReplay500},
 		{Name: "HotOverloadReplay2000", F: BenchOverloadReplay2000},
 		{Name: "HotOverloadReplay8000", F: BenchOverloadReplay8000},

@@ -49,8 +49,8 @@ type Invocation struct {
 	SchedDone  float64 // decision made, sent to node
 	ExecStart  float64 // container ready, code starts
 	End        float64
-	ColdStart  bool
 	NodeID     int
+	ColdStart  bool
 	Harvested  bool // resources were harvested from it
 	Accelerate bool // it received borrowed resources
 	Safeguard  bool // the safeguard fired for it
@@ -131,10 +131,25 @@ type StartOptions struct {
 	OOMDelay float64
 }
 
-// exec is the runtime state of one invocation on a node.
+// execPhase says what an exec's one lifecycle event means when it fires.
+// The three stages are never pending together, so they share a handle
+// and a callback.
+type execPhase uint8
+
+const (
+	phaseInit execPhase = iota // container initializing; fire begins execution
+	phaseRun                   // code running; fire completes it
+	phaseTail                  // completed; fire is the cross-node tail
+)
+
+// exec is the runtime state of one invocation on a node. Records are
+// recycled (newExec/putExec), and the callbacks an exec hands to the clock
+// are closures over the record, bound once in its first life — a
+// lifecycle event costs no allocation. That is safe because a record is
+// only parked once none of its events can still fire: complete and abort
+// cancel whatever is armed before the record leaves the running set.
 type exec struct {
-	inv  *Invocation
-	node *Node
+	inv *Invocation
 
 	own       resources.Vector // allocation from its own reservation
 	borrowed  resources.Vector // allocation borrowed via loans
@@ -146,17 +161,26 @@ type exec struct {
 	remaining  float64 // work left, in rate-1 seconds
 	rate       float64
 	lastUpdate float64
-	initEv     clock.Handle // pending container-init completion
-	doneEv     clock.Handle
+	ev         clock.Handle // pending init completion, then pending finish
 	sgEv       clock.Handle
 	oomEv      clock.Handle
 	started    bool // code execution began (past cold start)
+	phase      execPhase
 
-	// doneTail runs the cross-node completion tail (OnComplete, record
-	// recycling) as a zero-delay event on the node's tail clock. Bound
-	// once when the record is first allocated and kept across recycling,
-	// so completion schedules no per-invocation closure.
-	doneTail func()
+	// What beginExecution and the safeguard need from StartOptions, kept
+	// here so the init event captures nothing.
+	bonusUpTo     resources.Vector
+	sgThreshold   float64
+	monitorWindow float64
+	oomDelay      float64
+
+	// fire is the lifecycle callback: it dispatches on phase. On the lane
+	// clock it ends container init and then execution; on the tail clock it
+	// runs the completion tail (OnComplete, record recycling). sgFire and
+	// oomFire are bound on first use — most records never arm either.
+	fire    func()
+	sgFire  func()
+	oomFire func()
 }
 
 func (e *exec) alloc() resources.Vector { return e.own.Add(e.borrowed).Add(e.bonus) }
@@ -216,10 +240,13 @@ type Node struct {
 	// controls the recovery order).
 	OnFailure func(*Invocation, FailureKind)
 
-	// freeExec recycles execution records (one per completed invocation);
-	// hungryBuf is replenish's reusable candidate buffer.
-	freeExec  []*exec
-	hungryBuf []*exec
+	// freeExec recycles execution records (one per finished invocation);
+	// execBuf is the candidate buffer replenish and reclaimBonuses sort in
+	// (neither runs inside the other's loop); revokedBuf is where
+	// releaseSource collects the loans it strips.
+	freeExec   []*exec
+	execBuf    []*exec
+	revokedBuf []*harvest.Loan
 }
 
 // DefaultWarmTTL is how long an idle warm container is kept before
@@ -447,9 +474,15 @@ func (n *Node) Start(inv *Invocation, opts StartOptions) {
 
 	e := n.newExec()
 	e.inv = inv
-	e.node = n
 	e.own = opts.OwnAlloc
 	e.remaining = inv.Actual.Duration
+	// The acceleration want is only read once the exec has started, so it
+	// can be set here; the rest waits on the record for beginExecution.
+	e.wantExtra = opts.ExtraWant
+	e.bonusUpTo = opts.BonusUpTo
+	e.sgThreshold = opts.SafeguardThreshold
+	e.monitorWindow = opts.MonitorWindow
+	e.oomDelay = opts.OOMDelay
 	n.running[inv.ID] = e
 	n.aggAdd(e)
 
@@ -488,7 +521,7 @@ func (n *Node) Start(inv *Invocation, opts StartOptions) {
 		inv.Harvested = true
 	}
 
-	e.initEv = n.laneClk.Schedule(delay, func() { n.beginExecution(e, opts) })
+	e.ev = n.laneClk.Schedule(delay, e.fire)
 	n.replenish()
 }
 
@@ -500,7 +533,7 @@ func (n *Node) replenish() {
 	if n.CPUPool.Available(now) == 0 && n.MemPool.Available(now) == 0 {
 		return
 	}
-	hungry := n.hungryBuf[:0]
+	hungry := n.execBuf[:0]
 	for _, e := range n.running {
 		if !e.started {
 			continue
@@ -509,7 +542,7 @@ func (n *Node) replenish() {
 			hungry = append(hungry, e)
 		}
 	}
-	n.hungryBuf = hungry[:0]
+	n.execBuf = hungry[:0]
 	// Insertion sort by invocation ID (unique, so a strict total order):
 	// replenish runs after every supply event, and sort.Slice's closure
 	// allocations would dominate it.
@@ -525,35 +558,46 @@ func (n *Node) replenish() {
 	for _, e := range hungry {
 		needCPU := int64(e.wantExtra.CPU - e.borrowed.CPU)
 		needMem := int64(e.wantExtra.Mem - e.borrowed.Mem)
-		var cpuLoans, memLoans []*harvest.Loan
+		nc, nm := len(e.cpuLoans), len(e.memLoans)
 		if needCPU > 0 {
-			cpuLoans = n.CPUPool.Get(now, e.inv.ID, needCPU)
+			e.cpuLoans = n.CPUPool.AppendLoans(e.cpuLoans, now, e.inv.ID, needCPU)
 		}
 		if needMem > 0 {
-			memLoans = n.MemPool.Get(now, e.inv.ID, needMem)
+			e.memLoans = n.MemPool.AppendLoans(e.memLoans, now, e.inv.ID, needMem)
 		}
-		if len(cpuLoans) == 0 && len(memLoans) == 0 {
+		if len(e.cpuLoans) == nc && len(e.memLoans) == nm {
 			continue
 		}
-		n.reallocate(e, func() {
-			for _, l := range cpuLoans {
-				e.borrowed.CPU += resources.Millicores(l.Vol)
-				e.cpuLoans = append(e.cpuLoans, l)
-			}
-			for _, l := range memLoans {
-				e.borrowed.Mem += resources.MegaBytes(l.Vol)
-				e.memLoans = append(e.memLoans, l)
-			}
-		})
+		n.beginRealloc(e)
+		for _, l := range e.cpuLoans[nc:] {
+			e.borrowed.CPU += resources.Millicores(l.Vol)
+		}
+		for _, l := range e.memLoans[nm:] {
+			e.borrowed.Mem += resources.MegaBytes(l.Vol)
+		}
+		n.endRealloc(e)
 		e.inv.Accelerate = true
 	}
 }
 
-func (n *Node) beginExecution(e *exec, opts StartOptions) {
+// fireExec is every exec's lifecycle callback (exec.fire).
+func (n *Node) fireExec(e *exec) {
+	switch e.phase {
+	case phaseInit:
+		n.beginExecution(e)
+	case phaseRun:
+		n.complete(e)
+	case phaseTail:
+		n.finishTail(e)
+	}
+}
+
+func (n *Node) beginExecution(e *exec) {
 	now := n.clk.Now()
 	n.accumulate() // close the cold-start interval before usage changes
 	n.aggSub(e)    // re-counted below once loans/bonus/started settle
-	e.initEv = clock.Handle{}
+	e.ev = clock.Handle{}
+	e.phase = phaseRun
 	e.inv.ExecStart = now
 	e.started = true
 	if n.Tracer != nil {
@@ -564,21 +608,20 @@ func (n *Node) beginExecution(e *exec, opts StartOptions) {
 	// whenever new idle units enter the pool, replenish tops starving
 	// accelerable invocations back up (reassignment takes effect at any
 	// instant, §5.1).
-	e.wantExtra = opts.ExtraWant
-	if opts.ExtraWant.CPU > 0 {
-		e.cpuLoans = n.CPUPool.Get(now, e.inv.ID, int64(opts.ExtraWant.CPU))
+	if e.wantExtra.CPU > 0 {
+		e.cpuLoans = n.CPUPool.AppendLoans(e.cpuLoans, now, e.inv.ID, int64(e.wantExtra.CPU))
 		for _, l := range e.cpuLoans {
 			e.borrowed.CPU += resources.Millicores(l.Vol)
 		}
 	}
-	if opts.ExtraWant.Mem > 0 {
-		e.memLoans = n.MemPool.Get(now, e.inv.ID, int64(opts.ExtraWant.Mem))
+	if e.wantExtra.Mem > 0 {
+		e.memLoans = n.MemPool.AppendLoans(e.memLoans, now, e.inv.ID, int64(e.wantExtra.Mem))
 		for _, l := range e.memLoans {
 			e.borrowed.Mem += resources.MegaBytes(l.Vol)
 		}
 	}
-	if opts.BonusUpTo.CPU > 0 || opts.BonusUpTo.Mem > 0 {
-		grant := opts.BonusUpTo.Min(n.cap.Sub(n.committed).Sub(n.bonusOut)).Max(resources.Vector{})
+	if e.bonusUpTo.CPU > 0 || e.bonusUpTo.Mem > 0 {
+		grant := e.bonusUpTo.Min(n.cap.Sub(n.committed).Sub(n.bonusOut)).Max(resources.Vector{})
 		if !grant.IsZero() {
 			e.bonus = grant
 			n.bonusOut = n.bonusOut.Add(grant)
@@ -606,12 +649,15 @@ func (n *Node) beginExecution(e *exec, opts StartOptions) {
 	// Safeguard daemon (§5.2): after the monitor window, if the
 	// container's usage approaches the threshold of its (reduced)
 	// allocation, preemptively take all harvested resources back.
-	if opts.SafeguardThreshold > 0 && e.inv.Harvested {
-		win := opts.MonitorWindow
+	if e.sgThreshold > 0 && e.inv.Harvested {
+		win := e.monitorWindow
 		if win <= 0 {
 			win = 0.1
 		}
-		e.sgEv = n.laneClk.Schedule(win, func() { n.safeguardCheck(e, opts.SafeguardThreshold) })
+		if e.sgFire == nil {
+			e.sgFire = func() { n.safeguardCheck(e) }
+		}
+		e.sgEv = n.laneClk.Schedule(win, e.sgFire)
 	}
 
 	// OOM-kill fault model: the invocation reaches its memory peak
@@ -620,8 +666,11 @@ func (n *Node) beginExecution(e *exec, opts StartOptions) {
 	// time and the kernel kills the container (the hazard §5.1's retreat
 	// and §5.2's safeguard exist to mitigate — the safeguard restores the
 	// allocation at the monitor window, disarming this check).
-	if opts.OOMDelay > 0 && e.own.Mem < e.inv.UserAlloc.Mem {
-		e.oomEv = n.laneClk.Schedule(opts.OOMDelay, func() { n.oomCheck(e) })
+	if e.oomDelay > 0 && e.own.Mem < e.inv.UserAlloc.Mem {
+		if e.oomFire == nil {
+			e.oomFire = func() { n.oomCheck(e) }
+		}
+		e.oomEv = n.laneClk.Schedule(e.oomDelay, e.oomFire)
 	}
 }
 
@@ -643,12 +692,12 @@ func (n *Node) oomCheck(e *exec) {
 	if n.Tracer != nil {
 		n.Tracer.Record(obs.Event{T: n.clk.Now(), Inv: int64(e.inv.ID), Kind: obs.KindOOMKill, Node: n.id})
 	}
+	inv := e.inv // abort recycles e
 	n.abort(e)
 	if n.OnFailure != nil {
 		// The failure notification reaches into platform state shared by
 		// every node (retry queues, shard accounting), so it cannot run on
 		// the node's lane: defer it to the tail clock at the same instant.
-		inv := e.inv
 		n.tailClk.Schedule(0, func() { n.OnFailure(inv, FailOOM) })
 	}
 }
@@ -656,12 +705,12 @@ func (n *Node) oomCheck(e *exec) {
 // scheduleCompletion (re)schedules e's completion event from its current
 // rate and remaining work.
 func (n *Node) scheduleCompletion(e *exec) {
-	n.laneClk.Cancel(e.doneEv) // no-op on the zero handle or a fired event
+	n.laneClk.Cancel(e.ev) // no-op on the zero handle or a fired event
 	if e.rate <= 0 {
 		// Starved (should not happen: own allocation is always positive).
 		panic(fmt.Sprintf("cluster: invocation %d starved at rate 0", e.inv.ID))
 	}
-	e.doneEv = n.laneClk.Schedule(e.remaining/e.rate, func() { n.complete(e) })
+	e.ev = n.laneClk.Schedule(e.remaining/e.rate, e.fire)
 }
 
 // progress advances e's remaining-work account to now and recomputes the
@@ -682,14 +731,18 @@ func (e *exec) progress(now float64) {
 	e.rate = function.Rate(e.alloc(), e.inv.Actual)
 }
 
-// reallocate applies an allocation change to a running exec — the
-// docker-update analogue.
-func (n *Node) reallocate(e *exec, mutate func()) {
+// beginRealloc and endRealloc bracket an allocation change to a running
+// exec — the docker-update analogue. Between them the caller mutates
+// e.own, e.borrowed or e.bonus; begin settles progress and the node's
+// integrals under the old allocation, end re-rates under the new one and
+// moves the completion event.
+func (n *Node) beginRealloc(e *exec) {
 	n.accumulate()
-	now := n.clk.Now()
-	e.progress(now)
+	e.progress(n.clk.Now())
 	n.aggSub(e)
-	mutate()
+}
+
+func (n *Node) endRealloc(e *exec) {
 	n.aggAdd(e)
 	e.rate = function.Rate(e.alloc(), e.inv.Actual)
 	if e.started {
@@ -700,12 +753,12 @@ func (n *Node) reallocate(e *exec, mutate func()) {
 // safeguardCheck fires once after the monitor window: if the invocation's
 // true demand presses against the threshold of its reduced allocation,
 // all resources harvested from it are returned (§5.2).
-func (n *Node) safeguardCheck(e *exec, threshold float64) {
+func (n *Node) safeguardCheck(e *exec) {
 	if _, ok := n.running[e.inv.ID]; !ok {
 		return // already completed
 	}
 	use := function.Usage(e.own, e.inv.Actual)
-	if !safeguard.ShouldTrigger(use, e.own, e.inv.UserAlloc, threshold) {
+	if !safeguard.ShouldTrigger(use, e.own, e.inv.UserAlloc, e.sgThreshold) {
 		return
 	}
 	e.inv.Safeguard = true
@@ -721,46 +774,62 @@ func (n *Node) safeguardCheck(e *exec, threshold float64) {
 // returns to the full user reservation.
 func (n *Node) restoreHarvested(e *exec) {
 	now := n.clk.Now()
-	pooledCPU, revokedCPU := n.CPUPool.ReleaseSource(now, e.inv.ID)
-	pooledMem, revokedMem := n.MemPool.ReleaseSource(now, e.inv.ID)
-	_ = pooledCPU
-	_ = pooledMem
-	for _, l := range revokedCPU {
-		n.stripLoan(l, true)
-	}
-	for _, l := range revokedMem {
-		n.stripLoan(l, false)
-	}
-	n.reallocate(e, func() { e.own = e.inv.UserAlloc })
+	n.releaseSource(now, e.inv.ID)
+	n.beginRealloc(e)
+	e.own = e.inv.UserAlloc
+	n.endRealloc(e)
 }
 
-// stripLoan removes a revoked loan's units from its borrower.
-func (n *Node) stripLoan(l *harvest.Loan, isCPU bool) {
+// releaseSource is the preemptive release of everything harvested from
+// src: its pooled units vanish and its loans are stripped from their
+// borrowers in realtime.
+func (n *Node) releaseSource(now float64, src harvest.ID) {
+	_, revoked := n.CPUPool.ReleaseSourceTo(n.revokedBuf[:0], now, src)
+	ncpu := len(revoked)
+	_, revoked = n.MemPool.ReleaseSourceTo(revoked, now, src)
+	for i, l := range revoked {
+		n.stripLoan(now, l, i < ncpu)
+		revoked[i] = nil
+	}
+	n.revokedBuf = revoked[:0]
+}
+
+// stripLoan removes a revoked loan's units from its borrower, which then
+// hands the record back to the pool (the units went with the source). A
+// borrower that already left the running set returns its loans itself.
+func (n *Node) stripLoan(now float64, l *harvest.Loan, isCPU bool) {
 	b, ok := n.running[l.Borrower]
 	if !ok {
 		return
 	}
-	n.reallocate(b, func() {
-		if isCPU {
-			b.borrowed.CPU -= resources.Millicores(l.Vol)
-			b.cpuLoans = removeLoan(b.cpuLoans, l)
-			if b.borrowed.CPU < 0 {
-				b.borrowed.CPU = 0
-			}
-		} else {
-			b.borrowed.Mem -= resources.MegaBytes(l.Vol)
-			b.memLoans = removeLoan(b.memLoans, l)
-			if b.borrowed.Mem < 0 {
-				b.borrowed.Mem = 0
-			}
+	n.beginRealloc(b)
+	if isCPU {
+		b.borrowed.CPU -= resources.Millicores(l.Vol)
+		b.cpuLoans = removeLoan(b.cpuLoans, l)
+		if b.borrowed.CPU < 0 {
+			b.borrowed.CPU = 0
 		}
-	})
+	} else {
+		b.borrowed.Mem -= resources.MegaBytes(l.Vol)
+		b.memLoans = removeLoan(b.memLoans, l)
+		if b.borrowed.Mem < 0 {
+			b.borrowed.Mem = 0
+		}
+	}
+	n.endRealloc(b)
+	if isCPU {
+		n.CPUPool.Reharvest(now, l)
+	} else {
+		n.MemPool.Reharvest(now, l)
+	}
 }
 
 func removeLoan(ls []*harvest.Loan, l *harvest.Loan) []*harvest.Loan {
 	for i, x := range ls {
 		if x == l {
-			return append(ls[:i], ls[i+1:]...)
+			copy(ls[i:], ls[i+1:])
+			ls[len(ls)-1] = nil
+			return ls[:len(ls)-1]
 		}
 	}
 	return ls
@@ -774,13 +843,24 @@ func (n *Node) reclaimBonuses() {
 	if n.bonusOut.Fits(free) {
 		return
 	}
-	holders := make([]*exec, 0, len(n.running))
+	holders := n.execBuf[:0]
 	for _, e := range n.running {
 		if !e.bonus.IsZero() {
 			holders = append(holders, e)
 		}
 	}
-	sort.Slice(holders, func(i, j int) bool { return holders[i].inv.ID > holders[j].inv.ID })
+	n.execBuf = holders[:0]
+	// Newest first. Insertion sort by invocation ID, as in replenish: IDs
+	// are unique, so the order is the one any sort would produce.
+	for i := 1; i < len(holders); i++ {
+		e := holders[i]
+		j := i - 1
+		for j >= 0 && holders[j].inv.ID < e.inv.ID {
+			holders[j+1] = holders[j]
+			j--
+		}
+		holders[j+1] = e
+	}
 	for _, e := range holders {
 		overCPU := n.bonusOut.CPU - maxMC(0, free.CPU)
 		overMem := n.bonusOut.Mem - maxMB(0, free.Mem)
@@ -794,7 +874,9 @@ func (n *Node) reclaimBonuses() {
 			}
 			continue
 		}
-		n.reallocate(e, func() { e.bonus = e.bonus.Sub(take) })
+		n.beginRealloc(e)
+		e.bonus = e.bonus.Sub(take)
+		n.endRealloc(e)
 		n.bonusOut = n.bonusOut.Sub(take)
 		if n.bonusOut.Fits(n.cap.Sub(n.committed)) {
 			break
@@ -861,23 +943,11 @@ func (n *Node) complete(e *exec) {
 
 	// Timeliness: all resources of this invocation are released NOW,
 	// including units it had lent out — strip them from borrowers.
-	_, revokedCPU := n.CPUPool.ReleaseSource(now, e.inv.ID)
-	_, revokedMem := n.MemPool.ReleaseSource(now, e.inv.ID)
-	for _, l := range revokedCPU {
-		n.stripLoan(l, true)
-	}
-	for _, l := range revokedMem {
-		n.stripLoan(l, false)
-	}
+	n.releaseSource(now, e.inv.ID)
 
 	// Re-harvesting: units this invocation borrowed return to the pool
 	// with their original expiry if their source still runs.
-	for _, l := range e.cpuLoans {
-		n.CPUPool.Reharvest(now, l)
-	}
-	for _, l := range e.memLoans {
-		n.MemPool.Reharvest(now, l)
-	}
+	n.returnLoans(now, e)
 
 	n.replenish()
 
@@ -887,7 +957,23 @@ func (n *Node) complete(e *exec) {
 	// as a zero-delay event on the tail clock, at the same instant but
 	// serialized with every lane. On a serial clock the deferral is the
 	// same Schedule(0), keeping the event order identical across drivers.
-	n.tailClk.Schedule(0, e.doneTail)
+	e.ev = clock.Handle{}
+	e.phase = phaseTail
+	n.tailClk.Schedule(0, e.fire)
+}
+
+// returnLoans hands everything e borrowed back to the pools. After it the
+// loan records belong to the pools again, so e lets go of them here.
+func (n *Node) returnLoans(now float64, e *exec) {
+	for i, l := range e.cpuLoans {
+		n.CPUPool.Reharvest(now, l)
+		e.cpuLoans[i] = nil
+	}
+	for i, l := range e.memLoans {
+		n.MemPool.Reharvest(now, l)
+		e.memLoans[i] = nil
+	}
+	e.cpuLoans, e.memLoans = e.cpuLoans[:0], e.memLoans[:0]
 }
 
 // finishTail is the cross-node part of complete, run from the tail
@@ -910,38 +996,41 @@ func (n *Node) newExec() *exec {
 		return e
 	}
 	e := &exec{}
-	e.doneTail = func() { n.finishTail(e) }
+	e.fire = func() { n.fireExec(e) }
 	return e
 }
 
-// putExec resets a finished execution record and parks it for reuse. The
-// loan slices keep their storage but drop their pointers.
+// putExec resets an execution record that has left the running set and
+// parks it for reuse. None of its events may still be pending: the bound
+// callbacks would fire into the record's next life. The loan slices keep
+// their storage but drop their pointers (returnLoans has emptied them
+// already, unless a crash is wiping the pools and the loans die with
+// their borrowers); the bound callbacks stay bound.
 func (n *Node) putExec(e *exec) {
-	for i := range e.cpuLoans {
-		e.cpuLoans[i] = nil
+	clear(e.cpuLoans)
+	clear(e.memLoans)
+	*e = exec{
+		cpuLoans: e.cpuLoans[:0], memLoans: e.memLoans[:0],
+		fire: e.fire, sgFire: e.sgFire, oomFire: e.oomFire,
 	}
-	for i := range e.memLoans {
-		e.memLoans[i] = nil
-	}
-	*e = exec{cpuLoans: e.cpuLoans[:0], memLoans: e.memLoans[:0], doneTail: e.doneTail}
 	n.freeExec = append(n.freeExec, e)
 }
 
 // cancelEvents disarms every pending event of an exec so an aborted
 // invocation cannot fire a stale completion, safeguard or OOM check.
 func (n *Node) cancelEvents(e *exec) {
-	n.laneClk.Cancel(e.initEv)
-	n.laneClk.Cancel(e.doneEv)
+	n.laneClk.Cancel(e.ev)
 	n.laneClk.Cancel(e.sgEv)
 	n.laneClk.Cancel(e.oomEv)
-	e.initEv, e.doneEv, e.sgEv, e.oomEv = clock.Handle{}, clock.Handle{}, clock.Handle{}, clock.Handle{}
+	e.ev, e.sgEv, e.oomEv = clock.Handle{}, clock.Handle{}, clock.Handle{}
 }
 
 // abort removes one failed in-flight invocation from a live node: its
 // events are disarmed, its reservation and bonus return, everything
 // harvested from it is preemptively released (stripping borrowers in
 // realtime), and everything it borrowed re-enters the pool. The container
-// is destroyed, not parked warm — a retry pays a fresh cold start.
+// is destroyed, not parked warm — a retry pays a fresh cold start. The
+// record is recycled: callers read e.inv before, not after.
 func (n *Node) abort(e *exec) {
 	now := n.clk.Now()
 	n.accumulate()
@@ -958,25 +1047,14 @@ func (n *Node) abort(e *exec) {
 		panic(fmt.Sprintf("cluster: node %d committed went negative on abort", n.id))
 	}
 
-	_, revokedCPU := n.CPUPool.ReleaseSource(now, e.inv.ID)
-	_, revokedMem := n.MemPool.ReleaseSource(now, e.inv.ID)
-	for _, l := range revokedCPU {
-		n.stripLoan(l, true)
-	}
-	for _, l := range revokedMem {
-		n.stripLoan(l, false)
-	}
-	for _, l := range e.cpuLoans {
-		n.CPUPool.Reharvest(now, l)
-	}
-	for _, l := range e.memLoans {
-		n.MemPool.Reharvest(now, l)
-	}
+	n.releaseSource(now, e.inv.ID)
+	n.returnLoans(now, e)
 
 	e.inv.Failures++
 	if e.inv.Failures == 1 {
 		e.inv.FirstFail = now
 	}
+	n.putExec(e)
 	n.replenish()
 }
 
@@ -1002,6 +1080,7 @@ func (n *Node) Crash() []*Invocation {
 			e.inv.FirstFail = now
 		}
 		aborted = append(aborted, e.inv)
+		n.putExec(e)
 	}
 	sort.Slice(aborted, func(i, j int) bool { return aborted[i].ID < aborted[j].ID })
 	if n.Tracer != nil {

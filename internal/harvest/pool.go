@@ -20,6 +20,10 @@
 //     running, the borrowed units re-enter the pool with their original
 //     priority.
 //
+// Tracking objects, loan records and the per-source loan lists are
+// recycled through free lists, so a steady-state lifecycle allocates
+// nothing; the Loan type says who owns a loan record when.
+//
 // All operations are guarded by a mutex ("atomic resource operations with
 // mutex exclusion", §5.1) so concurrent schedulers can share a node view.
 package harvest
@@ -45,11 +49,23 @@ type Entry struct {
 }
 
 // Loan records units currently borrowed from one source by one borrower.
+//
+// Loan records are recycled, so a *Loan has an owner at every moment. Get
+// hands it to the borrower, and the borrower hands it back with exactly
+// one Reharvest call — when it finishes, or when the source's release
+// revoked the loan and the units have been stripped from it (that return
+// moves no units; it only gives the record back). After that call the
+// pointer is dead: the record may already describe another loan. A
+// borrower that dies without returning its loans (a node crash) just
+// leaves the records to the garbage collector.
 type Loan struct {
 	Source   ID
 	Borrower ID
 	Vol      int64
 	Expiry   float64
+
+	lent bool // the source still backs it: listed in Pool.loans[Source]
+	out  bool // the borrower has not handed it back yet
 }
 
 // LendOrder selects which pooled units a get() hands out first.
@@ -116,6 +132,13 @@ type Pool struct {
 	// scratch is Get's reusable candidate buffer (guarded by mu), so the
 	// lend path allocates nothing for its sort.
 	scratch []*Entry
+
+	// Recycled records (guarded by mu): tracking objects dropped by remove,
+	// loans handed back through Reharvest, and the storage of per-source
+	// loan lists that emptied.
+	freeEntries []*Entry
+	freeLoans   []*Loan
+	freeLists   [][]*Loan
 }
 
 // New returns an empty pool.
@@ -181,9 +204,7 @@ func (p *Pool) Put(now float64, src ID, vol int64, expiry float64) {
 			e.Expiry = expiry
 		}
 	} else {
-		p.bySource[src] = &Entry{Source: src, Vol: vol, Expiry: expiry}
-		p.seq[src] = p.nextSeq
-		p.nextSeq++
+		p.track(src, vol, expiry)
 	}
 	p.pooledVol += vol
 	p.totalPut += vol
@@ -209,8 +230,14 @@ func (p *Pool) Put(now float64, src ID, vol int64, expiry float64) {
 // (the OOM fault model depends on this). Dropping an expired entry here
 // therefore touches p.bySource only, never p.loans.
 func (p *Pool) Get(now float64, borrower ID, want int64) []*Loan {
+	return p.AppendLoans(nil, now, borrower, want)
+}
+
+// AppendLoans is Get appending to dst: a borrower that keeps its loans in
+// one list passes that list and takes no allocation for the result.
+func (p *Pool) AppendLoans(dst []*Loan, now float64, borrower ID, want int64) []*Loan {
 	if want <= 0 {
-		return nil
+		return dst
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -245,7 +272,6 @@ func (p *Pool) Get(now float64, borrower ID, want int64) []*Loan {
 			entries[j+1] = e
 		}
 	}
-	var out []*Loan
 	for _, e := range entries {
 		if want <= 0 {
 			break
@@ -273,12 +299,13 @@ func (p *Pool) Get(now float64, borrower ID, want int64) []*Loan {
 		e.Vol -= take
 		p.pooledVol -= take
 		p.totalGot += take
+		loan := p.newLoan()
+		*loan = Loan{Source: e.Source, Borrower: borrower, Vol: take, Expiry: e.Expiry, lent: true, out: true}
+		p.addLoan(loan)
+		dst = append(dst, loan)
 		if e.Vol == 0 {
 			p.remove(e.Source)
 		}
-		loan := &Loan{Source: e.Source, Borrower: borrower, Vol: take, Expiry: e.Expiry}
-		p.loans[e.Source] = append(p.loans[e.Source], loan)
-		out = append(out, loan)
 		want -= take
 		if p.tracer != nil {
 			p.tracer.Record(obs.Event{T: now, Inv: int64(borrower), Kind: obs.KindLoanGrant,
@@ -286,21 +313,29 @@ func (p *Pool) Get(now float64, borrower ID, want int64) []*Loan {
 		}
 	}
 	p.notifyIndex()
-	return out
+	return dst
 }
 
 // Reharvest returns a loan's units to the pool (the borrower finished
 // while the source is still running, §5.1 "Re-harvesting"). The units
 // re-enter with their original expiry. If the loan's source has already
-// been released the call is a no-op — the units are simply gone.
+// been released no units move — they are simply gone. Either way the
+// call is the borrower giving the record back (see Loan): the pool may
+// reuse it for the next loan it grants.
 func (p *Pool) Reharvest(now float64, loan *Loan) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer p.notifyIndex()
 	p.advance(now)
-	if !p.removeLoan(loan) {
+	if !loan.out {
+		return // handed back before; a second return moves nothing
+	}
+	loan.out = false
+	p.freeLoans = append(p.freeLoans, loan)
+	if !loan.lent {
 		return // source already released; nothing to return
 	}
+	p.unlinkLoan(loan)
 	if loan.Expiry <= now {
 		p.totalExpired += loan.Vol
 		p.expiredLive[loan.Source] += loan.Vol
@@ -314,9 +349,7 @@ func (p *Pool) Reharvest(now float64, loan *Loan) {
 	if e, ok := p.bySource[loan.Source]; ok {
 		e.Vol += loan.Vol
 	} else {
-		p.bySource[loan.Source] = &Entry{Source: loan.Source, Vol: loan.Vol, Expiry: loan.Expiry}
-		p.seq[loan.Source] = p.nextSeq
-		p.nextSeq++
+		p.track(loan.Source, loan.Vol, loan.Expiry)
 	}
 	p.pooledVol += loan.Vol
 	p.totalReharvested += loan.Vol
@@ -344,6 +377,9 @@ func (p *Pool) ReleaseAll(now float64) (pooled int64, revoked []*Loan) {
 	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
 	for _, src := range sources {
 		revoked = append(revoked, p.loans[src]...)
+	}
+	for _, l := range revoked {
+		l.lent = false
 	}
 	if p.tracer != nil {
 		for _, l := range revoked {
@@ -379,6 +415,12 @@ func (p *Pool) LentBy(src ID) int64 {
 // revoked loans are returned so the caller (the worker node) can strip
 // the units from the borrowers' allocations in realtime.
 func (p *Pool) ReleaseSource(now float64, src ID) (pooled int64, revoked []*Loan) {
+	return p.ReleaseSourceTo(nil, now, src)
+}
+
+// ReleaseSourceTo is ReleaseSource appending the revoked loans to dst, so
+// a caller with a buffer of its own takes no allocation for the list.
+func (p *Pool) ReleaseSourceTo(dst []*Loan, now float64, src ID) (pooled int64, revoked []*Loan) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer p.notifyIndex()
@@ -388,44 +430,100 @@ func (p *Pool) ReleaseSource(now float64, src ID) (pooled int64, revoked []*Loan
 		p.pooledVol -= e.Vol
 		p.remove(src)
 	}
-	revoked = p.loans[src]
-	delete(p.loans, src)
+	first := len(dst)
+	if ls, ok := p.loans[src]; ok {
+		delete(p.loans, src)
+		for _, l := range ls {
+			l.lent = false
+		}
+		dst = append(dst, ls...)
+		clear(ls)
+		p.freeLists = append(p.freeLists, ls[:0])
+	}
 	if v, ok := p.expiredLive[src]; ok {
 		p.expiredLiveVol -= v
 		delete(p.expiredLive, src)
 	}
 	if p.tracer != nil {
-		for _, l := range revoked {
+		for _, l := range dst[first:] {
 			p.tracer.Record(obs.Event{T: now, Inv: int64(l.Borrower), Kind: obs.KindLoanRevoke,
 				Node: p.traceNode, Peer: int64(l.Source), Axis: p.traceAxis, Val: float64(l.Vol)})
 		}
 	}
-	return pooled, revoked
+	return pooled, dst
 }
 
-// remove drops a source's entry and its FIFO sequence.
+// track starts a tracking object for src, on a recycled record if one is
+// parked.
+func (p *Pool) track(src ID, vol int64, expiry float64) {
+	var e *Entry
+	if n := len(p.freeEntries); n > 0 {
+		e = p.freeEntries[n-1]
+		p.freeEntries = p.freeEntries[:n-1]
+	} else {
+		e = new(Entry)
+	}
+	*e = Entry{Source: src, Vol: vol, Expiry: expiry}
+	p.bySource[src] = e
+	p.seq[src] = p.nextSeq
+	p.nextSeq++
+}
+
+// remove drops a source's entry and its FIFO sequence. The record is
+// parked untouched, so a caller still holding it may read it until the
+// next track.
 func (p *Pool) remove(src ID) {
+	if e, ok := p.bySource[src]; ok {
+		p.freeEntries = append(p.freeEntries, e)
+	}
 	delete(p.bySource, src)
 	delete(p.seq, src)
 }
 
-// removeLoan unlinks loan from its source's loan list; reports whether it
-// was still outstanding.
-func (p *Pool) removeLoan(loan *Loan) bool {
+// newLoan returns a recycled loan record, or a fresh one.
+func (p *Pool) newLoan() *Loan {
+	if n := len(p.freeLoans); n > 0 {
+		l := p.freeLoans[n-1]
+		p.freeLoans[n-1] = nil
+		p.freeLoans = p.freeLoans[:n-1]
+		return l
+	}
+	return new(Loan)
+}
+
+// addLoan lists loan under its source. A source's first loan takes the
+// storage of a list that emptied earlier.
+func (p *Pool) addLoan(loan *Loan) {
+	ls, ok := p.loans[loan.Source]
+	if !ok {
+		if n := len(p.freeLists); n > 0 {
+			ls = p.freeLists[n-1]
+			p.freeLists[n-1] = nil
+			p.freeLists = p.freeLists[:n-1]
+		}
+	}
+	p.loans[loan.Source] = append(ls, loan)
+}
+
+// unlinkLoan takes a lent loan off its source's list.
+func (p *Pool) unlinkLoan(loan *Loan) {
+	loan.lent = false
 	ls := p.loans[loan.Source]
 	for i, l := range ls {
 		if l == loan {
-			ls[i] = ls[len(ls)-1]
-			ls = ls[:len(ls)-1]
-			if len(ls) == 0 {
+			last := len(ls) - 1
+			ls[i] = ls[last]
+			ls[last] = nil
+			ls = ls[:last]
+			if last == 0 {
 				delete(p.loans, loan.Source)
+				p.freeLists = append(p.freeLists, ls)
 			} else {
 				p.loans[loan.Source] = ls
 			}
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // Available returns the pooled (unlent, unexpired) volume at now.

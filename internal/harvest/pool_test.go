@@ -303,3 +303,59 @@ func TestLendOrderString(t *testing.T) {
 		}
 	}
 }
+
+// Tracking objects, loans and per-source loan lists are recycled, so once
+// the free lists are primed a harvest lifecycle allocates nothing —
+// whichever side lets go first.
+func TestLifecycleSteadyStateZeroAllocs(t *testing.T) {
+	p := New()
+	var loans, revoked []*Loan
+	i := 0
+	cycle := func() {
+		now := float64(i)
+		src, other := ID(2*i), ID(2*i+1)
+		i++
+		p.Put(now, src, 1000, now+10)
+		p.Put(now, other, 1000, now+5)
+		// Borrower first: the loans return while both sources run.
+		loans = p.AppendLoans(loans[:0], now, 1<<40, 1500)
+		for _, l := range loans {
+			p.Reharvest(now, l)
+		}
+		// Source first: the release revokes, the borrower hands the
+		// stripped records back.
+		loans = p.AppendLoans(loans[:0], now, 1<<40, 1500)
+		_, revoked = p.ReleaseSourceTo(revoked[:0], now, src)
+		_, revoked = p.ReleaseSourceTo(revoked, now, other)
+		if len(loans) != 2 || len(revoked) != 2 {
+			t.Fatalf("cycle %d: %d loans, %d revoked, want 2 and 2", i, len(loans), len(revoked))
+		}
+		for _, l := range revoked {
+			p.Reharvest(now, l)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("harvest lifecycle allocates %v times per cycle, want 0", allocs)
+	}
+	if p.OutstandingLoans() != 0 || p.PooledVol() != 0 {
+		t.Fatalf("lifecycle left %d lent, %d pooled", p.OutstandingLoans(), p.PooledVol())
+	}
+}
+
+// A loan record goes back to the free list exactly once, however often a
+// stale holder returns it before it is lent again.
+func TestDoubleReharvestDoesNotDuplicateTheRecord(t *testing.T) {
+	p := New()
+	p.Put(0, 1, 10, 100)
+	l := p.Get(0, 9, 4)[0]
+	p.Reharvest(1, l)
+	p.Reharvest(1, l)
+	a, b := p.Get(2, 9, 3), p.Get(2, 10, 3)
+	if len(a) != 1 || len(b) != 1 || a[0] == b[0] {
+		t.Fatalf("two loans share a record: %p %p", a[0], b[0])
+	}
+	if got := p.OutstandingLoans(); got != 6 {
+		t.Fatalf("outstanding = %d, want 6", got)
+	}
+}

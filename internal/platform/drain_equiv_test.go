@@ -4,8 +4,13 @@ import (
 	"fmt"
 	"testing"
 
+	"libra/internal/cluster"
 	"libra/internal/faults"
+	"libra/internal/function"
+	"libra/internal/harvest"
 	"libra/internal/obs"
+	"libra/internal/resources"
+	"libra/internal/scheduler"
 	"libra/internal/trace"
 )
 
@@ -179,4 +184,51 @@ func TestDrainSteadyStateZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("saturated drain cycle allocates %v times per completion, want 0", allocs)
 	}
+}
+
+// BenchmarkDrainGateSaturated measures the per-completion cost of the
+// pending-queue drain on a saturated Jetstream cluster: 2 000
+// capacity-blocked invocations sit in the queue while one small
+// reservation cycles through select → drain → release → drain, the exact
+// sequence every completion triggers under sustained overload. Its
+// end-to-end twin in `go run ./bench` is phase.complete_s on
+// replay-overload.
+func BenchmarkDrainGateSaturated(b *testing.B) {
+	p, s, sreq, small := drainFixture(2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := s.Select(sreq, p.nodes)
+		if n == nil {
+			b.Fatal("small reservation unexpectedly rejected")
+		}
+		p.drainPending()
+		s.Release(n.ID(), small.UserAlloc)
+		p.drainPending()
+	}
+}
+
+// drainFixture builds a saturated Jetstream platform whose ready queue
+// holds depth permanently blocked invocations, plus one small reservation
+// that can cycle select → release to trigger drains. Shared by the
+// benchmark above and the zero-alloc regression test.
+func drainFixture(depth int) (p *Platform, s *scheduler.Shard, sreq scheduler.Request, small *cluster.Invocation) {
+	p = mustNew(PresetLibra(Jetstream(50, 4), 1))
+	spec := function.Apps()[0]
+
+	// A reservation wider than any node keeps the backlog permanently
+	// blocked: every drain pass must conclude "still no room".
+	blocked := resources.Vector{CPU: resources.Cores(25), Mem: 25 * 1024}
+	for i := 0; i < depth; i++ {
+		q := p.newQueued()
+		q.inv = &cluster.Invocation{ID: harvest.ID(1000 + i), App: spec, UserAlloc: blocked}
+		q.shard = p.shards[i%len(p.shards)]
+		q.req = scheduler.Request{Inv: q.inv, PredDuration: 1}
+		p.pushPending(q)
+	}
+
+	small = &cluster.Invocation{ID: 1, App: spec, UserAlloc: resources.Vector{CPU: 100, Mem: 128}}
+	sreq = scheduler.Request{Inv: small, PredDuration: 1}
+	s = p.shards[0]
+	return p, s, sreq, small
 }

@@ -348,6 +348,9 @@ type Platform struct {
 	ready    readyQueue
 	inflight map[harvest.ID]*queued
 	freeQ    []*queued
+	// invSlab is what is left of the chunk replayed invocations are carved
+	// from (newInvocation).
+	invSlab  []cluster.Invocation
 	sgCounts map[string]int // per-function safeguard triggers (OOM retreat)
 	pings    map[int]*poolStatus
 	// pingTickers holds the health-ping tickers: one on a serial clock,
@@ -470,6 +473,12 @@ type queued struct {
 	attempt  int     // completed (failed) execution attempts so far
 	seq      int64   // global FIFO position in the ready queue
 	deadline float64 // absolute clock time after which it expires unexecuted (0 = none)
+
+	// pickup is the scheduler's decision event (Platform.pickup on this
+	// record), bound once when the record is first allocated and kept
+	// across recycling: enqueue hands it to the clock as it is. A record is
+	// only recycled after its pickup has fired.
+	pickup func()
 }
 
 // New builds a platform from cfg on the given clock, or reports why the
@@ -796,7 +805,8 @@ func (p *Platform) arrive(ti trace.Invocation, deadline float64) {
 	if !ok {
 		panic("platform: trace names unknown app " + ti.App)
 	}
-	inv := &cluster.Invocation{
+	inv := p.newInvocation()
+	*inv = cluster.Invocation{
 		ID:        harvest.ID(ti.ID),
 		App:       spec,
 		Input:     ti.Input,
@@ -863,39 +873,46 @@ func (p *Platform) enqueue(q *queued, ready float64) {
 		return
 	}
 
-	pick := math.Max(ready, shard.BusyUntil)
+	// When the scheduler turns to it. A retry overwrites the failed
+	// attempt's value here rather than at its pickup; nothing reads the
+	// field of an invocation that is still queued.
+	inv.SchedPick = math.Max(ready, shard.BusyUntil)
 	service := DecisionOverhead + p.cfg.DispatchTime
-	shard.BusyUntil = pick + service
+	shard.BusyUntil = inv.SchedPick + service
 	if p.cfg.Tracer != nil {
 		p.cfg.Tracer.Record(obs.Event{T: ready, Inv: int64(inv.ID),
 			Kind: obs.KindQueued, Node: -1, Val: float64(q.attempt)})
 	}
+	p.clk.At(shard.BusyUntil, q.pickup)
+}
 
-	p.clk.At(shard.BusyUntil, func() {
-		if q.deadline > 0 && p.clk.Now() > q.deadline {
-			// The decision queue outlived the request: drop it at pickup
-			// instead of spending a placement on work nobody is waiting for.
-			p.expireQueued(q)
-			return
-		}
-		inv.SchedPick = pick
-		inv.SchedDone = p.clk.Now()
-		if !p.live {
-			p.result.SchedOverheads = append(p.result.SchedOverheads, DecisionOverhead)
-		}
-		if q.attempt == 0 {
-			// The Fig 15 scheduling-phase breakdown counts the first
-			// attempt only; retry queueing is recovery time, not overhead.
-			bd := p.breakdown(inv.App.Name)
-			bd.Scheduler += inv.SchedDone - inv.Arrival - FrontendOverhead - q.profCost
-		}
-		q.req.Now = p.clk.Now()
-		if node := shard.Select(q.req, p.nodes); node != nil {
-			p.dispatch(q, node)
-		} else {
-			p.pushPending(q)
-		}
-	})
+// pickup is the decision event enqueue arms: q's scheduler has worked
+// through its queue down to q and places it, or parks it on the ready
+// queue when no node admits it.
+func (p *Platform) pickup(q *queued) {
+	if q.deadline > 0 && p.clk.Now() > q.deadline {
+		// The decision queue outlived the request: drop it at pickup
+		// instead of spending a placement on work nobody is waiting for.
+		p.expireQueued(q)
+		return
+	}
+	inv := q.inv
+	inv.SchedDone = p.clk.Now()
+	if !p.live {
+		p.result.SchedOverheads = append(p.result.SchedOverheads, DecisionOverhead)
+	}
+	if q.attempt == 0 {
+		// The Fig 15 scheduling-phase breakdown counts the first
+		// attempt only; retry queueing is recovery time, not overhead.
+		bd := p.breakdown(inv.App.Name)
+		bd.Scheduler += inv.SchedDone - inv.Arrival - FrontendOverhead - q.profCost
+	}
+	q.req.Now = p.clk.Now()
+	if node := q.shard.Select(q.req, p.nodes); node != nil {
+		p.dispatch(q, node)
+	} else {
+		p.pushPending(q)
+	}
 }
 
 // placeable reports whether shard i could ever admit the reservation:
@@ -1344,14 +1361,36 @@ func (p *Platform) newQueued() *queued {
 		p.freeQ = p.freeQ[:k-1]
 		return q
 	}
-	return &queued{}
+	q := &queued{}
+	q.pickup = func() { p.pickup(q) }
+	return q
 }
 
 // putQueued resets and parks a scheduling record once its invocation
 // completed or was abandoned (retries keep their record).
 func (p *Platform) putQueued(q *queued) {
-	*q = queued{}
+	*q = queued{pickup: q.pickup}
 	p.freeQ = append(p.freeQ, q)
+}
+
+// invChunk is how many invocation records a replay allocates at a time.
+const invChunk = 256
+
+// newInvocation returns the record an arrival fills in. A replay keeps
+// every invocation until it ends (Result.Records), so it carves them from
+// chunks. A live server allocates each on its own: the serve layer hands
+// finished invocations to waiter goroutines, and one slow waiter must
+// not pin a chunk of its neighbours.
+func (p *Platform) newInvocation() *cluster.Invocation {
+	if p.live {
+		return new(cluster.Invocation)
+	}
+	if len(p.invSlab) == 0 {
+		p.invSlab = make([]cluster.Invocation, invChunk)
+	}
+	inv := &p.invSlab[0]
+	p.invSlab = p.invSlab[1:]
+	return inv
 }
 
 func (p *Platform) breakdown(app string) *PhaseBreakdown {

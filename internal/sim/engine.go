@@ -31,24 +31,28 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
 	"libra/internal/clock"
+	"libra/internal/eventq"
 )
 
 // Event is a scheduled callback record, owned by the engine and recycled
 // after it fires. Callers never hold *Event directly; Schedule/At return
-// a Handle instead.
+// a Handle instead. Its order key (at, seq) lives in the heap slot that
+// points at it; at is repeated here for Handle.Time.
 type Event struct {
 	at       float64
-	seq      uint64
 	gen      uint32
 	lane     int32 // owning lane in the sharded engine; always 0 here
 	fn       func()
 	canceled bool
-	index    int // heap index, -1 once popped
+	// inBatch is the sharded engine's mark for a record it has popped into
+	// the running batch but not yet released: a cancel that finds it has no
+	// heap slot to account for. The serial engine releases a record before
+	// its callback runs, so no live handle ever sees one out of the heap.
+	inBatch bool
 }
 
 // Gen implements clock.Record.
@@ -67,34 +71,9 @@ func (ev *Event) EventTime() float64 { return ev.at }
 // refusing to act on the new occupant (generation check).
 type Handle = clock.Handle
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
+// eventHeap is the (at, seq) queue of both engines: eventq's key-inline
+// 4-ary heap over their shared record type.
+type eventHeap = eventq.Heap[*Event]
 
 // compactMin is the floor below which cancelled events are left parked in
 // the queue: compaction only pays off once the dead fraction is large.
@@ -175,7 +154,6 @@ func (e *Engine) release(ev *Event) {
 	ev.gen++
 	ev.fn = nil
 	ev.canceled = false
-	ev.index = -1
 	e.free = append(e.free, ev)
 }
 
@@ -201,9 +179,9 @@ func (e *Engine) At(t float64, fn func()) Handle {
 		panic(fmt.Sprintf("sim: scheduling event in the past (t=%g, now=%g)", t, e.now))
 	}
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	ev.at, ev.fn = t, fn
+	e.queue.Push(t, e.seq, ev)
 	e.seq++
-	heap.Push(&e.queue, ev)
 	if len(e.queue) > e.maxLen {
 		e.maxLen = len(e.queue)
 	}
@@ -245,11 +223,11 @@ func (e *Engine) feedFirst() bool {
 	if len(e.queue) == 0 {
 		return true
 	}
-	top := e.queue[0]
-	if f.head != top.at {
-		return f.head < top.at
+	top := &e.queue[0]
+	if f.head != top.At {
+		return f.head < top.At
 	}
-	return f.seq0+uint64(f.next) < top.seq
+	return f.seq0+uint64(f.next) < top.Seq
 }
 
 // Cancel marks the handled event so it will not fire, per the Clock
@@ -265,12 +243,12 @@ func (e *Engine) Cancel(h Handle) {
 	if !ok || ev.gen != h.Gen() || ev.canceled {
 		return
 	}
+	// A live handle means the record is still in the heap: it is released,
+	// and every handle to it killed, before its callback runs.
 	ev.canceled = true
-	if ev.index >= 0 {
-		e.ncanceled++
-		if e.ncanceled > compactMin && e.ncanceled*2 > len(e.queue) {
-			e.compact()
-		}
+	e.ncanceled++
+	if e.ncanceled > compactMin && e.ncanceled*2 > len(e.queue) {
+		e.compact()
 	}
 }
 
@@ -279,23 +257,24 @@ func (e *Engine) Cancel(h Handle) {
 // comparator is a strict total order on (at, seq), so any valid heap over
 // the same live set pops in the same sequence.
 func (e *Engine) compact() {
-	live := e.queue[:0]
-	for _, ev := range e.queue {
-		if ev.canceled {
-			e.release(ev)
+	e.queue = dropCanceled(e.queue, e.release)
+	e.ncanceled = 0
+}
+
+// dropCanceled filters q in place down to its live entries, hands every
+// cancelled record to release, and re-heapifies what is left.
+func dropCanceled(q eventHeap, release func(*Event)) eventHeap {
+	live := q[:0]
+	for _, s := range q {
+		if s.Ev.canceled {
+			release(s.Ev)
 		} else {
-			live = append(live, ev)
+			live = append(live, s)
 		}
 	}
-	for i := len(live); i < len(e.queue); i++ {
-		e.queue[i] = nil
-	}
-	e.queue = live
-	for i, ev := range e.queue {
-		ev.index = i
-	}
-	heap.Init(&e.queue)
-	e.ncanceled = 0
+	clear(q[len(live):])
+	live.Init()
+	return live
 }
 
 // Step runs the next live event — the heap's top or the feed's head,
@@ -310,7 +289,7 @@ func (e *Engine) Step() bool {
 		if len(e.queue) == 0 {
 			return false
 		}
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.queue.Pop()
 		if ev.canceled {
 			e.ncanceled--
 			e.release(ev)
@@ -378,16 +357,15 @@ func (e *Engine) RunUntil(t float64) {
 // peek returns the fire time of the event Step would run next, or false
 // when both lanes are empty. Cancelled heap tops are collected on the way.
 func (e *Engine) peek() (float64, bool) {
-	for len(e.queue) > 0 && e.queue[0].canceled {
-		ev := heap.Pop(&e.queue).(*Event)
+	for len(e.queue) > 0 && e.queue[0].Ev.canceled {
 		e.ncanceled--
-		e.release(ev)
+		e.release(e.queue.Pop())
 	}
 	switch {
 	case e.feedFirst():
 		return e.feed.head, true
 	case len(e.queue) > 0:
-		return e.queue[0].at, true
+		return e.queue[0].At, true
 	}
 	return 0, false
 }

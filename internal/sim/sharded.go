@@ -38,7 +38,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync"
@@ -46,6 +45,7 @@ import (
 	"time"
 
 	"libra/internal/clock"
+	"libra/internal/eventq"
 )
 
 // laneHeap is one lane's event storage: a private (at, seq) heap with
@@ -246,10 +246,10 @@ func (s *Sharded) push(lane int32, t float64, fn func()) Handle {
 		panic(fmt.Sprintf("sim: scheduling event in the past (t=%g, now=%g)", t, s.now))
 	}
 	ev := s.alloc(int(lane))
-	ev.at, ev.seq, ev.fn, ev.lane = t, s.seq, fn, lane
-	s.seq++
+	ev.at, ev.fn, ev.lane = t, fn, lane
 	h := &s.heaps[lane]
-	heap.Push(&h.q, ev)
+	h.q.Push(t, s.seq, ev)
+	s.seq++
 	if len(h.q) > h.maxLen {
 		h.maxLen = len(h.q)
 	}
@@ -274,12 +274,21 @@ func (s *Sharded) Cancel(h Handle) {
 // per-lane compaction the serial engine applies globally.
 func (s *Sharded) cancelDirect(ev *Event) {
 	ev.canceled = true
-	if ev.index >= 0 {
-		h := &s.heaps[ev.lane]
-		h.ncanceled++
-		if h.ncanceled > compactMin && h.ncanceled*2 > len(h.q) {
-			s.compact(h)
-		}
+	s.countCanceled(ev)
+}
+
+// countCanceled is the lazy-deletion bookkeeping for a record just marked
+// cancelled. A member of the running batch has left its heap already and
+// is released at the barrier without ever counting.
+func (s *Sharded) countCanceled(ev *Event) {
+	if ev.inBatch {
+		return
+	}
+	h := &s.heaps[ev.lane]
+	h.ncanceled++
+	if h.ncanceled > compactMin && h.ncanceled*2 > len(h.q) {
+		h.q = dropCanceled(h.q, s.release)
+		h.ncanceled = 0
 	}
 }
 
@@ -305,43 +314,22 @@ func (s *Sharded) release(ev *Event) {
 	ev.gen++
 	ev.fn = nil
 	ev.canceled = false
-	ev.index = -1
+	ev.inBatch = false
 	h := &s.heaps[ev.lane]
 	h.free = append(h.free, ev)
 }
 
-func (s *Sharded) compact(h *laneHeap) {
-	live := h.q[:0]
-	for _, ev := range h.q {
-		if ev.canceled {
-			s.release(ev)
-		} else {
-			live = append(live, ev)
-		}
-	}
-	for i := len(live); i < len(h.q); i++ {
-		h.q[i] = nil
-	}
-	h.q = live
-	for i, ev := range h.q {
-		ev.index = i
-	}
-	heap.Init(&h.q)
-	h.ncanceled = 0
-}
-
-// peekHeap returns lane li's next live event without popping it,
+// peekHeap returns lane li's next live slot without popping it,
 // collecting cancelled records that surface at the top.
-func (s *Sharded) peekHeap(li int) *Event {
+func (s *Sharded) peekHeap(li int) *eventq.Slot[*Event] {
 	h := &s.heaps[li]
 	for len(h.q) > 0 {
-		if h.q[0].canceled {
-			ev := heap.Pop(&h.q).(*Event)
+		if h.q[0].Ev.canceled {
 			h.ncanceled--
-			s.release(ev)
+			s.release(h.q.Pop())
 			continue
 		}
-		return h.q[0]
+		return &h.q[0]
 	}
 	return nil
 }
@@ -350,17 +338,20 @@ func (s *Sharded) peekHeap(li int) *Event {
 // across every lane head. Sequence numbers come from one counter, so
 // the comparison is a strict total order.
 func (s *Sharded) peekMin() *Event {
-	var best *Event
+	var best *eventq.Slot[*Event]
 	for li := range s.heaps {
-		ev := s.peekHeap(li)
-		if ev == nil {
+		top := s.peekHeap(li)
+		if top == nil {
 			continue
 		}
-		if best == nil || ev.at < best.at || (ev.at == best.at && ev.seq < best.seq) {
-			best = ev
+		if best == nil || top.At < best.At || (top.At == best.At && top.Seq < best.Seq) {
+			best = top
 		}
 	}
-	return best
+	if best == nil {
+		return nil
+	}
+	return best.Ev
 }
 
 // Run executes events until every lane drains. Global events run
@@ -376,7 +367,7 @@ func (s *Sharded) Run() {
 		if ev == nil {
 			return
 		}
-		heap.Pop(&s.heaps[ev.lane].q)
+		s.heaps[ev.lane].q.Pop()
 		s.now = ev.at
 		if ev.lane == 0 {
 			s.fired++
@@ -405,7 +396,7 @@ func (s *Sharded) runBatch(first *Event) {
 		if ev == nil || ev.at != t || ev.lane == 0 {
 			break
 		}
-		heap.Pop(&s.heaps[ev.lane].q)
+		s.heaps[ev.lane].q.Pop()
 		s.addSlot(ev)
 	}
 	slots := s.slots[:s.nslots]
@@ -463,6 +454,7 @@ func (s *Sharded) addSlot(ev *Event) {
 		s.slots = append(s.slots, &batchSlot{})
 	}
 	sl := s.slots[s.nslots]
+	ev.inBatch = true
 	sl.ev = ev
 	sl.ran = false
 	sl.ops = sl.ops[:0]
@@ -497,26 +489,17 @@ func (s *Sharded) drainBatch(slots []*batchSlot) {
 			switch op.kind {
 			case opSchedule:
 				ev := op.ev
-				ev.seq = s.seq
-				s.seq++
 				h := &s.heaps[ev.lane]
-				heap.Push(&h.q, ev)
+				h.q.Push(ev.at, s.seq, ev)
+				s.seq++
 				if len(h.q) > h.maxLen {
 					h.maxLen = len(h.q)
 				}
 			case opCancel:
 				// The mark itself was applied at call time (later slots of
 				// the owning lane must observe it); here only the lazy-
-				// deletion bookkeeping runs. A target not in any heap is
-				// a batch member — released below without ever counting.
-				ev := op.ev
-				if ev.index >= 0 {
-					h := &s.heaps[ev.lane]
-					h.ncanceled++
-					if h.ncanceled > compactMin && h.ncanceled*2 > len(h.q) {
-						s.compact(h)
-					}
-				}
+				// deletion bookkeeping runs.
+				s.countCanceled(op.ev)
 			case opEmit:
 				op.fn()
 			}
