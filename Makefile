@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check fmt-check vet bench bench-digest bench-ab fuzz-mlkit fuzz-sim bench-json bench-pr8 bench-pr9 bench-pr10 quick report examples clean figs4-smoke scale-race parallel-equiv
+.PHONY: all build test race check fmt-check vet bench bench-digest bench-ab prof fuzz-mlkit fuzz-harvest fuzz-sim bench-json bench-pr8 bench-pr9 bench-pr10 quick report examples clean figs4-smoke scale-race parallel-equiv
 
 # Default verify path: formatting, vet, build, tests — then the race
 # detector over the whole module (the parallel experiment harness must
@@ -62,12 +62,36 @@ bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<ref> [W=<workload>] [PAIRS=10] [SEED=42]"; exit 2; }
 	./scripts/bench-ab.sh "$(BASE)" "$(W)" "$(PAIRS)" "$(SEED)"
 
+# Where a replay's CPU time goes: the 250k-invocation Jetstream replay the
+# benchmark's replay-baseline (VARIANT=default) and replay-steady
+# (VARIANT=libra) workloads time, profiled through libra-sim, then the top
+# of the cumulative listing. The profile stays in PROF_DIR for
+# `go tool pprof -list`; PROF_ARGS=-quick-sized runs (CI) pass a smaller
+# -invocations.
+VARIANT ?= default
+PROF_DIR ?= .bench_build
+PROF_ARGS ?= -invocations 250000
+prof:
+	@mkdir -p $(PROF_DIR)
+	$(GO) build -o $(PROF_DIR)/libra-sim ./cmd/libra-sim
+	$(PROF_DIR)/libra-sim -variant $(VARIANT) -testbed jetstream $(PROF_ARGS) -rpm 750 -mix-skew 1.05 \
+	  -cpuprofile $(PROF_DIR)/cpu-$(VARIANT).prof
+	$(GO) tool pprof -top -cum -nodecount 40 $(PROF_DIR)/libra-sim $(PROF_DIR)/cpu-$(VARIANT).prof
+
 # The sweep split search against the per-threshold recount it replaced
 # (internal/mlkit/tree_test.go), on mutated training sets: ties, NaN and
 # ±Inf values, repeated samples, midpoints that round onto a value.
 # `go test` alone replays only the seed corpus.
 fuzz-mlkit:
 	$(GO) test -run '^$$' -fuzz FuzzGiniSweepMatchesScan -fuzztime 20s ./internal/mlkit/
+
+# The harvest pool against the four-map pool it replaced
+# (internal/harvest/mappool_test.go): Put / AppendLoans / Reharvest /
+# ReleaseSourceTo / ReleaseAll scripts under both lending orders, expiries
+# mostly tied and often already past. `go test` alone replays only the
+# seed corpus.
+fuzz-harvest:
+	$(GO) test -run '^$$' -fuzz FuzzPoolMatchesMapPool -fuzztime 20s ./internal/harvest/
 
 # The engine's 4-ary heap against the container/heap queue it replaced
 # (internal/sim/heapfuzz_test.go): push / pop / cancel / compact scripts

@@ -141,6 +141,17 @@ func main() {
 	flag.Parse()
 	seed, traceOut := &common.Seed, &common.Trace
 
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "libra-bench: %v\n", err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "libra-bench: %v\n", err)
+		}
+	}()
+
 	if *jsonOut != "" {
 		if err := runBenchmarks(*jsonOut, *cells); err != nil {
 			fmt.Fprintf(os.Stderr, "libra-bench: %v\n", err)

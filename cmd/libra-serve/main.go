@@ -51,7 +51,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -84,7 +83,6 @@ func main() {
 		drainSecs  = flag.Float64("drain-timeout", 30, "two-phase shutdown budget in seconds (ingress + in-flight drain)")
 		benchOut   = flag.String("bench-out", "", "write a JSON bench summary to this file on exit")
 		rotate     = flag.Int64("trace-rotate", 0, "rotate the trace file after this many MB, keeping the current segment plus one predecessor at <path>.1 (0 = grow unboundedly)")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		check      = flag.Bool("selfcheck", false, "probe the HTTP ingress, assert nonzero goodput and a clean drained shutdown; exit nonzero on failure")
 	)
 	flag.Parse()
@@ -178,15 +176,9 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		fatal(err)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -216,6 +208,9 @@ func main() {
 	res, drainRep, stopErr := srv.Stop(context.Background())
 	if stopErr != nil {
 		fatal(stopErr)
+	}
+	if err := stopProfiles(); err != nil {
+		fatal(err)
 	}
 	st := srv.Snapshot()
 	drained := drainRep.Drained

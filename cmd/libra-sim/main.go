@@ -8,10 +8,12 @@
 //	          [-threshold 0.8] [-alpha 0.9] [-seed 42]
 //	          [-nodegroup min:desired:max] [-scale-backlog-hi N] [-scale-util-hi F]
 //	          [-compare] [-json] [-replay file.json] [-trace out.jsonl]
+//	          [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // With -compare, all six §8.3 variants run on the same workload.
 // -trace writes the invocation-lifecycle trace (one JSON event per line,
-// DESIGN.md §6e) of every run to the given file.
+// DESIGN.md §6e) of every run to the given file. -cpuprofile and
+// -memprofile cover the runs only, not workload generation (`make prof`).
 package main
 
 import (
@@ -74,6 +76,10 @@ func main() {
 		cfg.Tracer = rec
 	}
 
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		fatal(err)
+	}
 	var reports []*core.Report
 	if *compare {
 		reps, err := core.Compare(cfg, set)
@@ -87,6 +93,9 @@ func main() {
 			fatal(err)
 		}
 		reports = []*core.Report{rep}
+	}
+	if err := stopProfiles(); err != nil {
+		fatal(err)
 	}
 
 	for _, rep := range reports {

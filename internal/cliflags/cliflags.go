@@ -7,6 +7,10 @@ package cliflags
 
 import (
 	"flag"
+	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"libra/internal/cluster"
 	"libra/internal/core"
@@ -16,16 +20,57 @@ import (
 
 // Common holds the flags every command shares.
 type Common struct {
-	Seed  int64
-	Trace string
+	Seed       int64
+	Trace      string
+	CPUProfile string
+	MemProfile string
 }
 
-// AddCommon registers -seed and -trace on fs.
+// AddCommon registers -seed, -trace, -cpuprofile and -memprofile on fs.
 func AddCommon(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.Int64Var(&c.Seed, "seed", 42, "random seed")
 	fs.StringVar(&c.Trace, "trace", "", "write the invocation-lifecycle trace as JSONL to this file")
+	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&c.MemProfile, "memprofile", "", "write a heap profile taken at the end of the run to this file")
 	return c
+}
+
+// StartProfiles begins the CPU profile -cpuprofile asks for. The returned
+// stop ends it and writes the -memprofile heap profile; call it once, when
+// the work to be profiled is done. With neither flag set both are no-ops.
+func (c *Common) StartProfiles() (stop func() error, err error) {
+	var cpu *os.File
+	if c.CPUProfile != "" {
+		if cpu, err = os.Create(c.CPUProfile); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if c.MemProfile == "" {
+			return nil
+		}
+		f, err := os.Create(c.MemProfile)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // a heap profile describes the last completed collection
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("memprofile: %w", err)
+		}
+		return f.Close()
+	}, nil
 }
 
 // AddParallel registers -parallel on fs (the commands that fan units

@@ -54,6 +54,12 @@ type Invocation struct {
 	Harvested  bool // resources were harvested from it
 	Accelerate bool // it received borrowed resources
 	Safeguard  bool // the safeguard fired for it
+	// Slot belongs to whoever dispatches the invocation to nodes: the
+	// platform keeps its scheduling record's index here and finds the
+	// record again when OnComplete or OnFailure hands the invocation
+	// back. Nodes never read it. It sits in the padding after the four
+	// flags, so the record stays in its size class.
+	Slot int32
 
 	// Reassignment integrals for Fig 8: ∫(alloc − user) dt per axis.
 	CPUReassignSec float64 // core-seconds (may be negative)
@@ -147,7 +153,7 @@ const (
 // are closures over the record, bound once in its first life — a
 // lifecycle event costs no allocation. That is safe because a record is
 // only parked once none of its events can still fire: complete and abort
-// cancel whatever is armed before the record leaves the running set.
+// cancel whatever is armed before the record leaves the running list.
 type exec struct {
 	inv *Invocation
 
@@ -162,25 +168,39 @@ type exec struct {
 	rate       float64
 	lastUpdate float64
 	ev         clock.Handle // pending init completion, then pending finish
-	sgEv       clock.Handle
-	oomEv      clock.Handle
-	started    bool // code execution began (past cold start)
+	slot       int32        // position in Node.running while live
+	live       bool         // in Node.running: neither completed nor aborted yet
+	started    bool         // code execution began (past cold start)
 	phase      execPhase
 
-	// What beginExecution and the safeguard need from StartOptions, kept
-	// here so the init event captures nothing.
-	bonusUpTo     resources.Vector
-	sgThreshold   float64
-	monitorWindow float64
-	oomDelay      float64
+	// bonusUpTo is what beginExecution needs from StartOptions, kept here
+	// so the init event captures nothing.
+	bonusUpTo resources.Vector
+	// watch is set by Start for an execution that the safeguard daemon or
+	// the OOM fault model has to look at, nil in the record's first lives
+	// otherwise; once made it stays with the record.
+	watch *watch
 
 	// fire is the lifecycle callback: it dispatches on phase. On the lane
 	// clock it ends container init and then execution; on the tail clock it
-	// runs the completion tail (OnComplete, record recycling). sgFire and
-	// oomFire are bound on first use — most records never arm either.
-	fire    func()
-	sgFire  func()
-	oomFire func()
+	// runs the completion tail (OnComplete, record recycling).
+	fire func()
+}
+
+// watch is what the safeguard daemon (§5.2) and the OOM fault model keep
+// per execution: their parameters from StartOptions, their pending events
+// and their callbacks, bound on first use. Only an invocation that has
+// been harvested from can need either, so these 88 bytes are a record of
+// their own rather than part of every exec — a live server under load
+// holds tens of thousands of exec records and harvests from few.
+type watch struct {
+	sgThreshold   float64
+	monitorWindow float64
+	oomDelay      float64
+	sgEv          clock.Handle
+	oomEv         clock.Handle
+	sgFire        func()
+	oomFire       func()
 }
 
 func (e *exec) alloc() resources.Vector { return e.own.Add(e.borrowed).Add(e.bonus) }
@@ -207,8 +227,13 @@ type Node struct {
 	bonusOut  resources.Vector // Σ outstanding revocable bonus grants
 	aggUsage  resources.Vector // Σ usage of started execs (incremental, see aggAdd)
 	aggAlloc  resources.Vector // Σ alloc of all running execs (incremental)
-	running   map[harvest.ID]*exec
-	warm      map[string][]float64 // per-app warm-container expiry times
+	// running lists the invocations on the node, in no order: each record
+	// knows its slot, leaving is a swap-remove, and every walk either sorts
+	// what it collects or sums integers.
+	running []*exec
+	// warm holds one list of warm containers per application that ever
+	// completed here, found by spec identity.
+	warm      []warmList
 	warmTTL   float64
 	evictions int
 
@@ -249,6 +274,21 @@ type Node struct {
 	revokedBuf []*harvest.Loan
 }
 
+// warmList is one application's warm containers on a node: the times
+// their idle TTLs run out, in completion order.
+type warmList struct {
+	spec   *function.Spec
+	expiry []float64
+}
+
+// First capacities of a node's lists, taken in NewNode so a run's nodes
+// grow none of them in the common case: a node admits a few dozen
+// reservations at most, and the catalog has ten applications.
+const (
+	runningCap = 32
+	warmCap    = 12
+)
+
 // DefaultWarmTTL is how long an idle warm container is kept before
 // eviction — OpenWhisk's default idle-container grace is on the order of
 // ten minutes.
@@ -263,8 +303,8 @@ func NewNode(clk clock.Clock, id int, cap resources.Vector) *Node {
 		id:      id,
 		cap:     cap,
 		warmTTL: DefaultWarmTTL,
-		running: make(map[harvest.ID]*exec),
-		warm:    make(map[string][]float64),
+		running: make([]*exec, 0, runningCap),
+		warm:    make([]warmList, 0, warmCap),
 		CPUPool: harvest.New(),
 		MemPool: harvest.New(),
 	}
@@ -300,6 +340,21 @@ func (n *Node) Free() resources.Vector { return n.cap.Sub(n.committed) }
 // (including those still in container init).
 func (n *Node) Running() int { return len(n.running) }
 
+// enter puts e on the running list; leave takes it off again.
+func (n *Node) enter(e *exec) {
+	e.slot, e.live = int32(len(n.running)), true
+	n.running = append(n.running, e)
+}
+
+func (n *Node) leave(e *exec) {
+	last := len(n.running) - 1
+	moved := n.running[last]
+	n.running[e.slot], moved.slot = moved, e.slot
+	n.running[last] = nil
+	n.running = n.running[:last]
+	e.live = false
+}
+
 // ColdStarts returns how many container cold starts the node performed.
 func (n *Node) ColdStarts() int { return n.coldStarts }
 
@@ -309,26 +364,79 @@ func (n *Node) Evictions() int { return n.evictions }
 // Completions returns how many invocations finished on this node.
 func (n *Node) Completions() int { return n.completions }
 
-// WarmContainers returns the number of live warm containers cached for
-// app (expired ones are pruned lazily).
-func (n *Node) WarmContainers(app string) int {
-	n.pruneWarm(app)
-	return len(n.warm[app])
+// WarmFor returns how many warm containers the node holds for spec right
+// now: zero means a Start at this instant pays the cold start. Containers
+// whose idle TTL has run out are evicted (and counted) on the way. Start
+// makes its cold-or-warm decision through the same lookup, so a caller
+// that needs the decision before Start — the platform, to predict when
+// harvested units expire — cannot disagree with it.
+func (n *Node) WarmFor(spec *function.Spec) int {
+	if w := n.warmOf(spec); w != nil {
+		return len(w.expiry)
+	}
+	return 0
 }
 
-// pruneWarm evicts warm containers whose idle TTL elapsed. Entries are
-// appended in completion order, so the expired prefix is contiguous.
-func (n *Node) pruneWarm(app string) {
-	now := n.clk.Now()
-	ws := n.warm[app]
-	i := 0
-	for i < len(ws) && ws[i] <= now {
-		i++
+// WarmContainers is WarmFor for callers that have the application's name.
+func (n *Node) WarmContainers(app string) int {
+	for i := range n.warm {
+		if n.warm[i].spec.Name == app {
+			return n.WarmFor(n.warm[i].spec)
+		}
 	}
-	if i > 0 {
-		n.evictions += i
-		n.warm[app] = append(ws[:0], ws[i:]...)
+	return 0
+}
+
+// warmOf returns spec's warm list with the expired containers evicted, or
+// nil when the node keeps none (warm reuse disabled, or nothing of spec
+// completed here yet). Entries are appended in completion order, so the
+// expired prefix is contiguous.
+func (n *Node) warmOf(spec *function.Spec) *warmList {
+	if n.warmTTL <= 0 {
+		return nil
 	}
+	for i := range n.warm {
+		w := &n.warm[i]
+		if w.spec != spec {
+			continue
+		}
+		now := n.clk.Now()
+		k := 0
+		for k < len(w.expiry) && w.expiry[k] <= now {
+			k++
+		}
+		if k > 0 {
+			n.evictions += k
+			w.expiry = append(w.expiry[:0], w.expiry[k:]...)
+		}
+		return w
+	}
+	return nil
+}
+
+// parkWarm returns a finished invocation's container to spec's warm list
+// until it is claimed or its idle TTL elapses.
+func (n *Node) parkWarm(spec *function.Spec, until float64) {
+	for i := range n.warm {
+		if w := &n.warm[i]; w.spec == spec {
+			w.expiry = append(w.expiry, until)
+			return
+		}
+	}
+	// Room for a few from the start: a list that grows one by one costs
+	// three allocations on its way to four containers, on every node.
+	n.warm = append(n.warm, warmList{spec: spec, expiry: append(make([]float64, 0, 4), until)})
+}
+
+// dropWarm evicts every warm container (crash, drain) and returns how
+// many there were. The lists keep their storage.
+func (n *Node) dropWarm() int {
+	dropped := 0
+	for i := range n.warm {
+		dropped += len(n.warm[i].expiry)
+		n.warm[i].expiry = n.warm[i].expiry[:0]
+	}
+	return dropped
 }
 
 // CanAdmit reports whether a user reservation fits in the free capacity.
@@ -480,10 +588,7 @@ func (n *Node) Start(inv *Invocation, opts StartOptions) {
 	// can be set here; the rest waits on the record for beginExecution.
 	e.wantExtra = opts.ExtraWant
 	e.bonusUpTo = opts.BonusUpTo
-	e.sgThreshold = opts.SafeguardThreshold
-	e.monitorWindow = opts.MonitorWindow
-	e.oomDelay = opts.OOMDelay
-	n.running[inv.ID] = e
+	n.enter(e)
 	n.aggAdd(e)
 
 	// Container acquisition: reuse a warm container if one survives its
@@ -491,9 +596,8 @@ func (n *Node) Start(inv *Invocation, opts StartOptions) {
 	// claimed first (LIFO keeps the pool warm).
 	delay := 0.0
 	cold := false
-	if n.warmTTL > 0 && n.WarmContainers(inv.App.Name) > 0 {
-		ws := n.warm[inv.App.Name]
-		n.warm[inv.App.Name] = ws[:len(ws)-1]
+	if w := n.warmOf(inv.App); w != nil && len(w.expiry) > 0 {
+		w.expiry = w.expiry[:len(w.expiry)-1]
 	} else {
 		delay = inv.App.ColdStart
 		cold = true
@@ -519,6 +623,16 @@ func (n *Node) Start(inv *Invocation, opts StartOptions) {
 	if spare.Mem > 0 {
 		n.MemPool.Put(n.clk.Now(), inv.ID, int64(spare.Mem), opts.HarvestExpiry)
 		inv.Harvested = true
+	}
+	// The safeguard watches an invocation that was harvested from (now or
+	// in an earlier attempt), the OOM model one whose memory is reduced.
+	if (opts.SafeguardThreshold > 0 && inv.Harvested) || (opts.OOMDelay > 0 && spare.Mem > 0) {
+		if e.watch == nil {
+			e.watch = new(watch)
+		}
+		e.watch.sgThreshold = opts.SafeguardThreshold
+		e.watch.monitorWindow = opts.MonitorWindow
+		e.watch.oomDelay = opts.OOMDelay
 	}
 
 	e.ev = n.laneClk.Schedule(delay, e.fire)
@@ -649,15 +763,16 @@ func (n *Node) beginExecution(e *exec) {
 	// Safeguard daemon (§5.2): after the monitor window, if the
 	// container's usage approaches the threshold of its (reduced)
 	// allocation, preemptively take all harvested resources back.
-	if e.sgThreshold > 0 && e.inv.Harvested {
-		win := e.monitorWindow
+	w := e.watch
+	if w != nil && w.sgThreshold > 0 && e.inv.Harvested {
+		win := w.monitorWindow
 		if win <= 0 {
 			win = 0.1
 		}
-		if e.sgFire == nil {
-			e.sgFire = func() { n.safeguardCheck(e) }
+		if w.sgFire == nil {
+			w.sgFire = func() { n.safeguardCheck(e) }
 		}
-		e.sgEv = n.laneClk.Schedule(win, e.sgFire)
+		w.sgEv = n.laneClk.Schedule(win, w.sgFire)
 	}
 
 	// OOM-kill fault model: the invocation reaches its memory peak
@@ -666,18 +781,18 @@ func (n *Node) beginExecution(e *exec) {
 	// time and the kernel kills the container (the hazard §5.1's retreat
 	// and §5.2's safeguard exist to mitigate — the safeguard restores the
 	// allocation at the monitor window, disarming this check).
-	if e.oomDelay > 0 && e.own.Mem < e.inv.UserAlloc.Mem {
-		if e.oomFire == nil {
-			e.oomFire = func() { n.oomCheck(e) }
+	if w != nil && w.oomDelay > 0 && e.own.Mem < e.inv.UserAlloc.Mem {
+		if w.oomFire == nil {
+			w.oomFire = func() { n.oomCheck(e) }
 		}
-		e.oomEv = n.laneClk.Schedule(e.oomDelay, e.oomFire)
+		w.oomEv = n.laneClk.Schedule(w.oomDelay, w.oomFire)
 	}
 }
 
 // oomCheck fires at the invocation's memory-peak instant when the OOM
 // fault model is armed.
 func (n *Node) oomCheck(e *exec) {
-	if _, ok := n.running[e.inv.ID]; !ok {
+	if !e.live {
 		return // already completed or aborted
 	}
 	if e.inv.Actual.MemPeak <= e.alloc().Mem {
@@ -754,11 +869,11 @@ func (n *Node) endRealloc(e *exec) {
 // true demand presses against the threshold of its reduced allocation,
 // all resources harvested from it are returned (§5.2).
 func (n *Node) safeguardCheck(e *exec) {
-	if _, ok := n.running[e.inv.ID]; !ok {
+	if !e.live {
 		return // already completed
 	}
 	use := function.Usage(e.own, e.inv.Actual)
-	if !safeguard.ShouldTrigger(use, e.own, e.inv.UserAlloc, e.sgThreshold) {
+	if !safeguard.ShouldTrigger(use, e.own, e.inv.UserAlloc, e.watch.sgThreshold) {
 		return
 	}
 	e.inv.Safeguard = true
@@ -796,10 +911,18 @@ func (n *Node) releaseSource(now float64, src harvest.ID) {
 
 // stripLoan removes a revoked loan's units from its borrower, which then
 // hands the record back to the pool (the units went with the source). A
-// borrower that already left the running set returns its loans itself.
+// borrower that already left the running list returns its loans itself.
+// Revocations are rare next to lifecycle events, so the borrower is found
+// by scanning the list.
 func (n *Node) stripLoan(now float64, l *harvest.Loan, isCPU bool) {
-	b, ok := n.running[l.Borrower]
-	if !ok {
+	var b *exec
+	for _, e := range n.running {
+		if e.inv.ID == l.Borrower {
+			b = e
+			break
+		}
+	}
+	if b == nil {
 		return
 	}
 	n.beginRealloc(b)
@@ -916,15 +1039,17 @@ func (n *Node) complete(e *exec) {
 	now := n.clk.Now()
 	n.accumulate()
 	e.progress(now)
-	n.laneClk.Cancel(e.sgEv)
-	n.laneClk.Cancel(e.oomEv)
+	if w := e.watch; w != nil {
+		n.laneClk.Cancel(w.sgEv) // no-ops unless armed and still pending
+		n.laneClk.Cancel(w.oomEv)
+	}
 	e.inv.End = now
 	if n.Tracer != nil {
 		n.Tracer.Record(obs.Event{T: now, Inv: int64(e.inv.ID), Kind: obs.KindComplete,
 			Node: n.id, Val: e.inv.ResponseLatency()})
 	}
 	n.aggSub(e)
-	delete(n.running, e.inv.ID)
+	n.leave(e)
 	n.committed = n.committed.Sub(e.inv.Reservation())
 	if !e.bonus.IsZero() {
 		n.bonusOut = n.bonusOut.Sub(e.bonus)
@@ -935,10 +1060,7 @@ func (n *Node) complete(e *exec) {
 	}
 	n.completions++
 	if n.warmTTL > 0 {
-		// The container pauses into the warm pool until claimed or until
-		// its idle TTL elapses.
-		app := e.inv.App.Name
-		n.warm[app] = append(n.warm[app], now+n.warmTTL)
+		n.parkWarm(e.inv.App, now+n.warmTTL)
 	}
 
 	// Timeliness: all resources of this invocation are released NOW,
@@ -1000,7 +1122,7 @@ func (n *Node) newExec() *exec {
 	return e
 }
 
-// putExec resets an execution record that has left the running set and
+// putExec resets an execution record that has left the running list and
 // parks it for reuse. None of its events may still be pending: the bound
 // callbacks would fire into the record's next life. The loan slices keep
 // their storage but drop their pointers (returnLoans has emptied them
@@ -1009,9 +1131,12 @@ func (n *Node) newExec() *exec {
 func (n *Node) putExec(e *exec) {
 	clear(e.cpuLoans)
 	clear(e.memLoans)
+	if w := e.watch; w != nil {
+		*w = watch{sgFire: w.sgFire, oomFire: w.oomFire}
+	}
 	*e = exec{
 		cpuLoans: e.cpuLoans[:0], memLoans: e.memLoans[:0],
-		fire: e.fire, sgFire: e.sgFire, oomFire: e.oomFire,
+		fire: e.fire, watch: e.watch,
 	}
 	n.freeExec = append(n.freeExec, e)
 }
@@ -1020,9 +1145,12 @@ func (n *Node) putExec(e *exec) {
 // invocation cannot fire a stale completion, safeguard or OOM check.
 func (n *Node) cancelEvents(e *exec) {
 	n.laneClk.Cancel(e.ev)
-	n.laneClk.Cancel(e.sgEv)
-	n.laneClk.Cancel(e.oomEv)
-	e.ev, e.sgEv, e.oomEv = clock.Handle{}, clock.Handle{}, clock.Handle{}
+	e.ev = clock.Handle{}
+	if w := e.watch; w != nil {
+		n.laneClk.Cancel(w.sgEv)
+		n.laneClk.Cancel(w.oomEv)
+		w.sgEv, w.oomEv = clock.Handle{}, clock.Handle{}
+	}
 }
 
 // abort removes one failed in-flight invocation from a live node: its
@@ -1037,7 +1165,7 @@ func (n *Node) abort(e *exec) {
 	e.progress(now)
 	n.cancelEvents(e)
 	n.aggSub(e)
-	delete(n.running, e.inv.ID)
+	n.leave(e)
 	n.committed = n.committed.Sub(e.inv.Reservation())
 	if !e.bonus.IsZero() {
 		n.bonusOut = n.bonusOut.Sub(e.bonus)
@@ -1084,15 +1212,16 @@ func (n *Node) Crash() []*Invocation {
 	}
 	sort.Slice(aborted, func(i, j int) bool { return aborted[i].ID < aborted[j].ID })
 	if n.Tracer != nil {
-		// Emitted after the sort: trace order must not depend on map
-		// iteration.
+		// Emitted after the sort: trace order must not depend on list
+		// order.
 		for _, inv := range aborted {
 			n.Tracer.Record(obs.Event{T: now, Inv: int64(inv.ID), Kind: obs.KindCrashAbort, Node: n.id})
 		}
 	}
 
-	n.running = make(map[harvest.ID]*exec)
-	n.warm = make(map[string][]float64)
+	clear(n.running)
+	n.running = n.running[:0]
+	n.dropWarm()
 	n.committed = resources.Vector{}
 	n.bonusOut = resources.Vector{}
 	n.aggUsage = resources.Vector{}
@@ -1124,11 +1253,7 @@ func (n *Node) Drain() int {
 		return 0
 	}
 	n.draining = true
-	evicted := 0
-	for app, ws := range n.warm {
-		evicted += len(ws)
-		delete(n.warm, app)
-	}
+	evicted := n.dropWarm()
 	n.evictions += evicted
 	return evicted
 }

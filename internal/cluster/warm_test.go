@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"libra/internal/function"
 	"libra/internal/resources"
 	"libra/internal/sim"
 )
@@ -88,4 +89,38 @@ func TestWarmLIFOClaimsFreshest(t *testing.T) {
 	if n.Evictions() != 1 {
 		t.Fatalf("evictions = %d, want 1 (the older container)", n.Evictions())
 	}
+}
+
+// WarmFor is the decision Start makes: whatever it reports just before a
+// Start is what the Start does — per application, after evictions, and
+// also once warm reuse is switched off with containers still parked (where
+// a count of the parked list alone would say warm and Start would go cold).
+func TestWarmForIsStartsDecision(t *testing.T) {
+	eng := sim.NewEngine()
+	n := newTestNode(eng)
+	n.SetWarmTTL(5)
+	dh, vp := testApp(t, "DH"), testApp(t, "VP")
+
+	id := int64(0)
+	startAgrees := func(app *function.Spec) {
+		t.Helper()
+		id++
+		warm := n.WarmFor(app)
+		if byName := n.WarmContainers(app.Name); byName != warm {
+			t.Fatalf("%s: WarmContainers = %d, WarmFor = %d", app.Name, byName, warm)
+		}
+		inv := mkInv(id, app, resources.Cores(1), 128, 1)
+		n.Start(inv, StartOptions{OwnAlloc: inv.UserAlloc})
+		if inv.ColdStart != (warm == 0) {
+			t.Fatalf("%s at %v: WarmFor = %d, Start cold = %v", app.Name, eng.Now(), warm, inv.ColdStart)
+		}
+		eng.Run()
+	}
+	startAgrees(dh) // nothing parked: cold
+	startAgrees(dh) // the first one's container: warm
+	startAgrees(vp) // another application's containers do not count: cold
+	eng.RunUntil(eng.Now() + 10)
+	startAgrees(dh) // evicted: cold
+	n.SetWarmTTL(0)
+	startAgrees(dh) // parked, but reuse is off: cold
 }

@@ -20,9 +20,12 @@
 //     running, the borrowed units re-enter the pool with their original
 //     priority.
 //
-// Tracking objects, loan records and the per-source loan lists are
-// recycled through free lists, so a steady-state lifecycle allocates
-// nothing; the Loan type says who owns a loan record when.
+// A pool holds one record per source invocation that still has units in
+// it, out on loan from it, or written off on expiry — a handful at a time,
+// one per co-located harvested invocation — so the records live in a plain
+// list searched by ID, not in maps. Source and loan records are recycled
+// through free lists, so a steady-state lifecycle allocates nothing; the
+// Loan type says who owns a loan record when.
 //
 // All operations are guarded by a mutex ("atomic resource operations with
 // mutex exclusion", §5.1) so concurrent schedulers can share a node view.
@@ -30,8 +33,8 @@ package harvest
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"libra/internal/obs"
 )
@@ -64,9 +67,34 @@ type Loan struct {
 	Vol      int64
 	Expiry   float64
 
-	lent bool // the source still backs it: listed in Pool.loans[Source]
-	out  bool // the borrower has not handed it back yet
+	src *source // the source's record while it still backs the loan (listed in src.loans), else nil
+	out bool    // the borrower has not handed it back yet
 }
+
+// source is everything the pool knows about one source invocation: its
+// tracking object (while tracked), the loans it backs, and the volume the
+// pool wrote off on expiry while the source lives on. The record exists as
+// long as any of the three is non-empty.
+type source struct {
+	// entry is the tracking object. Source names the record for its whole
+	// life; Vol and Expiry mean something while tracked.
+	entry   Entry
+	tracked bool
+	seq     int64 // when the current tracking object was started (FIFO order)
+	loans   []*Loan
+	// expiredLive is the volume dropped on expiry (the pool stopped lending
+	// it, but the units physically remain inside the source's committed
+	// reservation until its release). The conservation audit needs it to
+	// close the per-node double entry:
+	// Σ own + pooled + lent + expired-live == committed.
+	expiredLive int64
+}
+
+// firstChunk is the inline capacity of a pool's source list. A node runs a
+// few dozen invocations at most and only some are harvested from at once,
+// so most pools never outgrow it, and a cluster's worth of them grow no
+// list on the way there.
+const firstChunk = 8
 
 // LendOrder selects which pooled units a get() hands out first.
 type LendOrder int
@@ -97,24 +125,20 @@ type Pool struct {
 	// longest-expiry-first priority.
 	Order LendOrder
 
-	mu       sync.Mutex
-	bySource map[ID]*Entry
-	loans    map[ID][]*Loan // keyed by source
-	seq      map[ID]int64   // insertion order for FIFO
-	nextSeq  int64
+	mu      sync.Mutex
+	sources []*source // unordered; every walk that matters sorts or sums
+	nextSeq int64
+
+	// version counts mutations (see Version); it moves wherever the index
+	// hook fires.
+	version atomic.Uint64
 
 	// idle-time accounting for Fig 10: ∫ pooled-but-unused volume dt.
 	lastUpdate   float64
 	pooledVol    int64
 	idleIntegral float64
 
-	// expiredLive tracks, per still-live source, the volume dropped on
-	// expiry (the pool stopped lending it, but the units physically remain
-	// inside the source's committed reservation until its release). The
-	// conservation audit needs it to close the per-node double entry:
-	// Σ own + pooled + lent + expired-live == committed.
-	expiredLive    map[ID]int64
-	expiredLiveVol int64
+	expiredLiveVol int64 // Σ source.expiredLive
 
 	// lifecycle tracing (nil = disabled; see SetTracer)
 	tracer    obs.Tracer
@@ -131,24 +155,23 @@ type Pool struct {
 
 	// scratch is Get's reusable candidate buffer (guarded by mu), so the
 	// lend path allocates nothing for its sort.
-	scratch []*Entry
+	scratch []*source
 
-	// Recycled records (guarded by mu): tracking objects dropped by remove,
-	// loans handed back through Reharvest, and the storage of per-source
-	// loan lists that emptied.
-	freeEntries []*Entry
+	// Recycled records (guarded by mu): sources whose last unit left (each
+	// keeps its loan list's storage) and loans handed back through
+	// Reharvest.
+	freeSources []*source
 	freeLoans   []*Loan
-	freeLists   [][]*Loan
+
+	// sourcesBuf is the first chunk of sources.
+	sourcesBuf [firstChunk]*source
 }
 
 // New returns an empty pool.
 func New() *Pool {
-	return &Pool{
-		bySource:    make(map[ID]*Entry),
-		loans:       make(map[ID][]*Loan),
-		seq:         make(map[ID]int64),
-		expiredLive: make(map[ID]int64),
-	}
+	p := &Pool{}
+	p.sources = p.sourcesBuf[:0]
+	return p
 }
 
 // SetTracer attaches a lifecycle tracer to the pool; node and axis
@@ -174,12 +197,21 @@ func (p *Pool) SetIndexHook(fn func()) {
 	p.indexHook = fn
 }
 
-// notifyIndex fires the mutation hook; callers hold p.mu.
+// notifyIndex records a mutation: it moves the version and fires the
+// index hook; callers hold p.mu.
 func (p *Pool) notifyIndex() {
+	p.version.Add(1)
 	if p.indexHook != nil {
 		p.indexHook()
 	}
 }
+
+// Version returns a counter that moves on every mutation (Put, Get,
+// Reharvest, ReleaseSource of a source the pool knows, ReleaseAll — like
+// the index hook, possibly on one that ended up changing nothing). Entries cannot have changed between
+// two reads of the same value, so a periodic snapshot taker keeps its last
+// copy while the version stands. It takes no lock.
+func (p *Pool) Version() uint64 { return p.version.Load() }
 
 func (p *Pool) advance(now float64) {
 	if now > p.lastUpdate {
@@ -198,13 +230,13 @@ func (p *Pool) Put(now float64, src ID, vol int64, expiry float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.advance(now)
-	if e, ok := p.bySource[src]; ok {
-		e.Vol += vol
-		if expiry > e.Expiry {
-			e.Expiry = expiry
+	if s := p.find(src); s != nil && s.tracked {
+		s.entry.Vol += vol
+		if expiry > s.entry.Expiry {
+			s.entry.Expiry = expiry
 		}
 	} else {
-		p.track(src, vol, expiry)
+		p.track(s, src, vol, expiry)
 	}
 	p.pooledVol += vol
 	p.totalPut += vol
@@ -228,7 +260,7 @@ func (p *Pool) Put(now float64, src ID, vol int64, expiry float64) {
 // an estimate of the source's completion; a source running past it still
 // owns its lent units, so LentBy and OutstandingLoans keep counting them
 // (the OOM fault model depends on this). Dropping an expired entry here
-// therefore touches p.bySource only, never p.loans.
+// therefore ends the source's tracking object only, never its loans.
 func (p *Pool) Get(now float64, borrower ID, want int64) []*Loan {
 	return p.AppendLoans(nil, now, borrower, want)
 }
@@ -242,40 +274,43 @@ func (p *Pool) AppendLoans(dst []*Loan, now float64, borrower ID, want int64) []
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.advance(now)
-	entries := p.scratch[:0]
-	for _, e := range p.bySource {
-		entries = append(entries, e)
+	cands := p.scratch[:0]
+	for _, s := range p.sources {
+		if s.tracked {
+			cands = append(cands, s)
+		}
 	}
-	p.scratch = entries[:0]
+	p.scratch = cands[:0]
 	// Insertion sorts: both comparators are strict total orders (Source is
 	// unique per pool), so the result is the unique sorted permutation —
 	// and unlike sort.Slice this allocates nothing, which matters because
 	// every lend on the acceleration path sorts here.
 	if p.Order == FIFO {
-		for i := 1; i < len(entries); i++ {
-			e, s := entries[i], p.seq[entries[i].Source]
+		for i := 1; i < len(cands); i++ {
+			s := cands[i]
 			j := i - 1
-			for j >= 0 && p.seq[entries[j].Source] > s {
-				entries[j+1] = entries[j]
+			for j >= 0 && cands[j].seq > s.seq {
+				cands[j+1] = cands[j]
 				j--
 			}
-			entries[j+1] = e
+			cands[j+1] = s
 		}
 	} else {
-		for i := 1; i < len(entries); i++ {
-			e := entries[i]
+		for i := 1; i < len(cands); i++ {
+			s := cands[i]
 			j := i - 1
-			for j >= 0 && entryLess(*e, *entries[j]) {
-				entries[j+1] = entries[j]
+			for j >= 0 && entryLess(s.entry, cands[j].entry) {
+				cands[j+1] = cands[j]
 				j--
 			}
-			entries[j+1] = e
+			cands[j+1] = s
 		}
 	}
-	for _, e := range entries {
+	for _, s := range cands {
 		if want <= 0 {
 			break
 		}
+		e := s.entry
 		if e.Expiry <= now {
 			// The source should already have released these; drop stale
 			// units defensively rather than lend invalid resources. Its
@@ -283,9 +318,9 @@ func (p *Pool) AppendLoans(dst []*Loan, now float64, borrower ID, want int64) []
 			// above).
 			p.pooledVol -= e.Vol
 			p.totalExpired += e.Vol
-			p.expiredLive[e.Source] += e.Vol
+			s.expiredLive += e.Vol
 			p.expiredLiveVol += e.Vol
-			p.remove(e.Source)
+			s.tracked = false
 			if p.tracer != nil {
 				p.tracer.Record(obs.Event{T: now, Inv: int64(e.Source), Kind: obs.KindExpire,
 					Node: p.traceNode, Axis: p.traceAxis, Val: float64(e.Vol)})
@@ -296,15 +331,15 @@ func (p *Pool) AppendLoans(dst []*Loan, now float64, borrower ID, want int64) []
 		if take > want {
 			take = want
 		}
-		e.Vol -= take
+		s.entry.Vol -= take
 		p.pooledVol -= take
 		p.totalGot += take
 		loan := p.newLoan()
-		*loan = Loan{Source: e.Source, Borrower: borrower, Vol: take, Expiry: e.Expiry, lent: true, out: true}
-		p.addLoan(loan)
+		*loan = Loan{Source: e.Source, Borrower: borrower, Vol: take, Expiry: e.Expiry, src: s, out: true}
+		s.loans = append(s.loans, loan)
 		dst = append(dst, loan)
-		if e.Vol == 0 {
-			p.remove(e.Source)
+		if s.entry.Vol == 0 {
+			s.tracked = false
 		}
 		want -= take
 		if p.tracer != nil {
@@ -332,13 +367,14 @@ func (p *Pool) Reharvest(now float64, loan *Loan) {
 	}
 	loan.out = false
 	p.freeLoans = append(p.freeLoans, loan)
-	if !loan.lent {
+	src := loan.src
+	if src == nil {
 		return // source already released; nothing to return
 	}
-	p.unlinkLoan(loan)
+	unlinkLoan(src, loan)
 	if loan.Expiry <= now {
 		p.totalExpired += loan.Vol
-		p.expiredLive[loan.Source] += loan.Vol
+		src.expiredLive += loan.Vol
 		p.expiredLiveVol += loan.Vol
 		if p.tracer != nil {
 			p.tracer.Record(obs.Event{T: now, Inv: int64(loan.Source), Kind: obs.KindExpire,
@@ -346,10 +382,10 @@ func (p *Pool) Reharvest(now float64, loan *Loan) {
 		}
 		return
 	}
-	if e, ok := p.bySource[loan.Source]; ok {
-		e.Vol += loan.Vol
+	if src.tracked {
+		src.entry.Vol += loan.Vol
 	} else {
-		p.track(loan.Source, loan.Vol, loan.Expiry)
+		p.track(src, loan.Source, loan.Vol, loan.Expiry)
 	}
 	p.pooledVol += loan.Vol
 	p.totalReharvested += loan.Vol
@@ -370,16 +406,21 @@ func (p *Pool) ReleaseAll(now float64) (pooled int64, revoked []*Loan) {
 	defer p.mu.Unlock()
 	defer p.notifyIndex()
 	p.advance(now)
-	sources := make([]ID, 0, len(p.loans))
-	for src := range p.loans {
-		sources = append(sources, src)
+	// The list is unordered, so it can be sorted where it stands.
+	for i := 1; i < len(p.sources); i++ {
+		s := p.sources[i]
+		j := i - 1
+		for j >= 0 && p.sources[j].entry.Source > s.entry.Source {
+			p.sources[j+1] = p.sources[j]
+			j--
+		}
+		p.sources[j+1] = s
 	}
-	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-	for _, src := range sources {
-		revoked = append(revoked, p.loans[src]...)
+	for _, s := range p.sources {
+		revoked = append(revoked, s.loans...)
 	}
 	for _, l := range revoked {
-		l.lent = false
+		l.src = nil
 	}
 	if p.tracer != nil {
 		for _, l := range revoked {
@@ -389,10 +430,11 @@ func (p *Pool) ReleaseAll(now float64) (pooled int64, revoked []*Loan) {
 	}
 	pooled = p.pooledVol
 	p.pooledVol = 0
-	p.bySource = make(map[ID]*Entry)
-	p.loans = make(map[ID][]*Loan)
-	p.seq = make(map[ID]int64)
-	p.expiredLive = make(map[ID]int64)
+	for i, s := range p.sources {
+		p.recycle(s)
+		p.sources[i] = nil
+	}
+	p.sources = p.sources[:0]
 	p.expiredLiveVol = 0
 	return pooled, revoked
 }
@@ -404,8 +446,10 @@ func (p *Pool) LentBy(src ID) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var v int64
-	for _, l := range p.loans[src] {
-		v += l.Vol
+	if s := p.find(src); s != nil {
+		for _, l := range s.loans {
+			v += l.Vol
+		}
 	}
 	return v
 }
@@ -423,61 +467,75 @@ func (p *Pool) ReleaseSource(now float64, src ID) (pooled int64, revoked []*Loan
 func (p *Pool) ReleaseSourceTo(dst []*Loan, now float64, src ID) (pooled int64, revoked []*Loan) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	defer p.notifyIndex()
 	p.advance(now)
-	if e, ok := p.bySource[src]; ok {
-		pooled = e.Vol
-		p.pooledVol -= e.Vol
-		p.remove(src)
+	i := 0
+	for i < len(p.sources) && p.sources[i].entry.Source != src {
+		i++
 	}
+	if i == len(p.sources) {
+		// Nothing of src is here — the common case on a node that harvests
+		// little — so the pool has not changed and nobody is told it has.
+		return 0, dst
+	}
+	s := p.sources[i]
+	if s.tracked {
+		pooled = s.entry.Vol
+		p.pooledVol -= pooled
+	}
+	p.expiredLiveVol -= s.expiredLive
 	first := len(dst)
-	if ls, ok := p.loans[src]; ok {
-		delete(p.loans, src)
-		for _, l := range ls {
-			l.lent = false
-		}
-		dst = append(dst, ls...)
-		clear(ls)
-		p.freeLists = append(p.freeLists, ls[:0])
-	}
-	if v, ok := p.expiredLive[src]; ok {
-		p.expiredLiveVol -= v
-		delete(p.expiredLive, src)
-	}
-	if p.tracer != nil {
-		for _, l := range dst[first:] {
+	dst = append(dst, s.loans...)
+	for _, l := range dst[first:] {
+		l.src = nil
+		if p.tracer != nil {
 			p.tracer.Record(obs.Event{T: now, Inv: int64(l.Borrower), Kind: obs.KindLoanRevoke,
 				Node: p.traceNode, Peer: int64(l.Source), Axis: p.traceAxis, Val: float64(l.Vol)})
 		}
 	}
+	last := len(p.sources) - 1
+	p.sources[i] = p.sources[last]
+	p.sources[last] = nil
+	p.sources = p.sources[:last]
+	p.recycle(s)
+	p.notifyIndex()
 	return pooled, dst
 }
 
-// track starts a tracking object for src, on a recycled record if one is
-// parked.
-func (p *Pool) track(src ID, vol int64, expiry float64) {
-	var e *Entry
-	if n := len(p.freeEntries); n > 0 {
-		e = p.freeEntries[n-1]
-		p.freeEntries = p.freeEntries[:n-1]
-	} else {
-		e = new(Entry)
+// find returns src's record, or nil.
+func (p *Pool) find(src ID) *source {
+	for _, s := range p.sources {
+		if s.entry.Source == src {
+			return s
+		}
 	}
-	*e = Entry{Source: src, Vol: vol, Expiry: expiry}
-	p.bySource[src] = e
-	p.seq[src] = p.nextSeq
+	return nil
+}
+
+// track starts a tracking object for src on its record s — a new record,
+// recycled if one is parked, when s is nil.
+func (p *Pool) track(s *source, src ID, vol int64, expiry float64) {
+	if s == nil {
+		if n := len(p.freeSources); n > 0 {
+			s = p.freeSources[n-1]
+			p.freeSources[n-1] = nil
+			p.freeSources = p.freeSources[:n-1]
+		} else {
+			s = new(source)
+		}
+		p.sources = append(p.sources, s)
+	}
+	s.entry = Entry{Source: src, Vol: vol, Expiry: expiry}
+	s.tracked = true
+	s.seq = p.nextSeq
 	p.nextSeq++
 }
 
-// remove drops a source's entry and its FIFO sequence. The record is
-// parked untouched, so a caller still holding it may read it until the
-// next track.
-func (p *Pool) remove(src ID) {
-	if e, ok := p.bySource[src]; ok {
-		p.freeEntries = append(p.freeEntries, e)
-	}
-	delete(p.bySource, src)
-	delete(p.seq, src)
+// recycle empties a record that left p.sources and parks it; its loan
+// list keeps its storage for the record's next source.
+func (p *Pool) recycle(s *source) {
+	clear(s.loans)
+	*s = source{loans: s.loans[:0]}
+	p.freeSources = append(p.freeSources, s)
 }
 
 // newLoan returns a recycled loan record, or a fresh one.
@@ -491,36 +549,15 @@ func (p *Pool) newLoan() *Loan {
 	return new(Loan)
 }
 
-// addLoan lists loan under its source. A source's first loan takes the
-// storage of a list that emptied earlier.
-func (p *Pool) addLoan(loan *Loan) {
-	ls, ok := p.loans[loan.Source]
-	if !ok {
-		if n := len(p.freeLists); n > 0 {
-			ls = p.freeLists[n-1]
-			p.freeLists[n-1] = nil
-			p.freeLists = p.freeLists[:n-1]
-		}
-	}
-	p.loans[loan.Source] = append(ls, loan)
-}
-
-// unlinkLoan takes a lent loan off its source's list.
-func (p *Pool) unlinkLoan(loan *Loan) {
-	loan.lent = false
-	ls := p.loans[loan.Source]
-	for i, l := range ls {
+// unlinkLoan takes a loan off the list of the source that backs it.
+func unlinkLoan(s *source, loan *Loan) {
+	loan.src = nil
+	for i, l := range s.loans {
 		if l == loan {
-			last := len(ls) - 1
-			ls[i] = ls[last]
-			ls[last] = nil
-			ls = ls[:last]
-			if last == 0 {
-				delete(p.loans, loan.Source)
-				p.freeLists = append(p.freeLists, ls)
-			} else {
-				p.loans[loan.Source] = ls
-			}
+			last := len(s.loans) - 1
+			s.loans[i] = s.loans[last]
+			s.loans[last] = nil
+			s.loans = s.loans[:last]
 			return
 		}
 	}
@@ -531,9 +568,9 @@ func (p *Pool) Available(now float64) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var v int64
-	for _, e := range p.bySource {
-		if e.Expiry > now {
-			v += e.Vol
+	for _, s := range p.sources {
+		if s.tracked && s.entry.Expiry > now {
+			v += s.entry.Vol
 		}
 	}
 	return v
@@ -554,8 +591,10 @@ func (p *Pool) AppendEntries(buf []Entry) []Entry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	start := len(buf)
-	for _, e := range p.bySource {
-		buf = append(buf, *e)
+	for _, s := range p.sources {
+		if s.tracked {
+			buf = append(buf, s.entry)
+		}
 	}
 	out := buf[start:]
 	// Allocation-free insertion sort under the same strict total order as
@@ -604,8 +643,8 @@ func (p *Pool) OutstandingLoans() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var v int64
-	for _, ls := range p.loans {
-		for _, l := range ls {
+	for _, s := range p.sources {
+		for _, l := range s.loans {
 			v += l.Vol
 		}
 	}

@@ -363,7 +363,7 @@ func (p *Platform) addNode() *cluster.Node {
 		p.wireNode(n)
 		p.nodes = append(p.nodes, n)
 		if p.pings != nil {
-			p.pings[id] = &poolStatus{}
+			p.pings = append(p.pings, poolStatus{})
 		}
 		if p.covIndex != nil {
 			// Size the index now (empty pools: off the candidate list).
@@ -430,8 +430,7 @@ func (p *Platform) retireNode(id int) {
 		sh.Rebalance(p.nodes)
 	}
 	if p.pings != nil {
-		st := p.pings[id]
-		st.cpu, st.mem = nil, nil
+		p.pings[id].darken()
 	}
 	if p.covIndex != nil {
 		// Retire reconciled the pools; darken the summary either way so

@@ -32,8 +32,7 @@ func installReference(p *Platform) {
 		}
 		var still []*queued
 		for _, q := range pending {
-			q.req.Now = p.clk.Now()
-			if node := q.shard.Select(q.req, p.nodes); node != nil {
+			if node := q.shard.Select(p.request(q, p.clk.Now()), p.nodes); node != nil {
 				p.dispatch(q, node)
 			} else {
 				still = append(still, q)
@@ -222,8 +221,7 @@ func drainFixture(depth int) (p *Platform, s *scheduler.Shard, sreq scheduler.Re
 	for i := 0; i < depth; i++ {
 		q := p.newQueued()
 		q.inv = &cluster.Invocation{ID: harvest.ID(1000 + i), App: spec, UserAlloc: blocked}
-		q.shard = p.shards[i%len(p.shards)]
-		q.req = scheduler.Request{Inv: q.inv, PredDuration: 1}
+		q.shard, q.app = p.shards[i%len(p.shards)], p.appFor(spec)
 		p.pushPending(q)
 	}
 

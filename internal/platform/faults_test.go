@@ -38,7 +38,7 @@ func TestOOMRetreatStopsMemoryHarvest(t *testing.T) {
 	set.Invocations = set.Invocations[:100]
 	p := mustNew(PresetLibra(SingleNode(), 4))
 	for _, spec := range function.Apps() {
-		p.sgCounts[spec.Name] = p.cfg.MemRetreatAfter // every app already retreated
+		p.appFor(spec).retreats = p.cfg.MemRetreatAfter // every app already retreated
 	}
 	r := p.Run(set)
 	cpuHarvested := false
@@ -65,7 +65,7 @@ func TestOOMRetreatDisabledKeepsHarvesting(t *testing.T) {
 	cfg.MemRetreatAfter = -1
 	p := mustNew(cfg)
 	for _, spec := range function.Apps() {
-		p.sgCounts[spec.Name] = 1000
+		p.appFor(spec).retreats = 1000
 	}
 	r := p.Run(set)
 	for _, rec := range r.Records {
@@ -90,17 +90,17 @@ func TestOOMRetreatResetsAcrossPlatforms(t *testing.T) {
 		t.Skip("trace produced no safeguard triggers; retreat path not exercised")
 	}
 	total := 0
-	for _, n := range first.sgCounts {
-		total += n
+	for _, a := range first.apps {
+		total += a.retreats
 	}
 	if total != r1.Safeguarded {
-		t.Fatalf("sgCounts sum %d != safeguarded %d (counts must accumulate per function)",
+		t.Fatalf("retreat counts sum %d != safeguarded %d (counts must accumulate per function)",
 			total, r1.Safeguarded)
 	}
 
 	second := mustNew(cfg)
-	if len(second.sgCounts) != 0 {
-		t.Fatalf("fresh platform starts with %d retreat counts", len(second.sgCounts))
+	if len(second.apps) != 0 {
+		t.Fatalf("fresh platform starts with %d retreat counts", len(second.apps))
 	}
 	memHarvested := false
 	for _, rec := range second.Run(set).Records {

@@ -345,14 +345,24 @@ type Platform struct {
 	// lane goroutines (DESIGN.md §11d).
 	sharder clock.Sharder
 
-	ready    readyQueue
-	inflight map[harvest.ID]*queued
-	freeQ    []*queued
+	ready readyQueue
+	// records holds every scheduling record ever made, at the index the
+	// record carries as its slot; a dispatched invocation carries the same
+	// index (cluster.Invocation.Slot), which is how onComplete and onFailure
+	// get from the invocation a node hands back to its record. executing
+	// counts the records currently out on a node.
+	records   []*queued
+	executing int
+	freeQ     []*queued
 	// invSlab is what is left of the chunk replayed invocations are carved
 	// from (newInvocation).
-	invSlab  []cluster.Invocation
-	sgCounts map[string]int // per-function safeguard triggers (OOM retreat)
-	pings    map[int]*poolStatus
+	invSlab []cluster.Invocation
+	// apps is the per-application state, one entry per function that has
+	// arrived, found by spec identity once per arrival (appFor).
+	apps []*appState
+	// pings is each node's last health-ping snapshot, indexed by node ID;
+	// nil when decisions read the pools live (negative PingInterval).
+	pings []poolStatus
 	// pingTickers holds the health-ping tickers: one on a serial clock,
 	// one per lane on a sharded clock (arm splits the node scan across
 	// lanes). pingEmit are the per-lane merge-barrier closures that
@@ -406,6 +416,26 @@ type Platform struct {
 	// reference full-rescan pending list kept in the test file.
 	pushHook  func(*queued) bool
 	drainHook func() bool
+	// pingAlways is the test seam for the ping tests: the health ping runs
+	// as it did before it was trimmed — armed whether or not an algorithm
+	// reads the snapshots, and copying both pools of every node on every
+	// tick whether or not they changed.
+	pingAlways bool
+}
+
+// appState is what the platform keeps per application. arrive resolves it
+// once and the scheduling record carries it, so the later stages of an
+// invocation look nothing up.
+type appState struct {
+	spec *function.Spec
+	// bd is Result.Breakdown[spec.Name] of the current run, nil until the
+	// application's first arrival in it.
+	bd *PhaseBreakdown
+	// retreats counts the safeguard triggers of the application's
+	// invocations (OOM retreat, §5.1).
+	retreats int
+	// home is the hash placement's pin for the application.
+	home uint64
 }
 
 // readyQueue holds capacity-blocked invocations, bucketed by (shard,
@@ -459,20 +489,55 @@ func (b *pendBucket) pop() {
 // snapshot taken in the current ping round on a sharded clock: the
 // merge-barrier closure must skip nodes that were down when their lane
 // scanned them, exactly as the serial scan skips them inline.
+//
+// cpuSeen and memSeen are the pools' versions at the time of the copy: a
+// pool whose version still stands has not changed, and the tick keeps the
+// copy it has. darken forgets them along with the snapshot.
 type poolStatus struct {
-	cpu, mem []harvest.Entry
-	fresh    bool
+	cpu, mem         []harvest.Entry
+	cpuSeen, memSeen uint64
+	fresh            bool
 }
 
+// neverSeen is a version no pool reports before 2⁶⁴−1 mutations.
+const neverSeen = ^uint64(0)
+
+// refresh brings the snapshot up to date with n's pools, copying only a
+// pool that changed since its last copy (every pool when all is set).
+func (st *poolStatus) refresh(n *cluster.Node, all bool) {
+	if v := n.CPUPool.Version(); all || v != st.cpuSeen {
+		st.cpu, st.cpuSeen = n.CPUPool.AppendEntries(st.cpu[:0]), v
+	}
+	if v := n.MemPool.Version(); all || v != st.memSeen {
+		st.mem, st.memSeen = n.MemPool.AppendEntries(st.mem[:0]), v
+	}
+}
+
+// darken drops the snapshot of a node that crashed or retired: schedulers
+// see empty pools until the node pings again, and that ping copies afresh.
+func (st *poolStatus) darken() {
+	st.cpu, st.mem = nil, nil
+	st.cpuSeen, st.memSeen = neverSeen, neverSeen
+}
+
+// queued is the scheduling record of one invocation, from arrival until it
+// completes or is given up. Live serving holds one per admitted request —
+// tens of thousands under load, kept at their high-water mark by the free
+// list — so it carries only what cannot be read off the invocation: the
+// prediction's demand is inv.Predicted, and the scheduling request is
+// derived from it on every placement attempt (request).
 type queued struct {
 	inv      *cluster.Invocation
-	req      scheduler.Request
-	pred     profiler.Prediction
 	shard    *scheduler.Shard
+	app      *appState
 	profCost float64
-	attempt  int     // completed (failed) execution attempts so far
 	seq      int64   // global FIFO position in the ready queue
 	deadline float64 // absolute clock time after which it expires unexecuted (0 = none)
+	attempt  int32   // completed (failed) execution attempts so far
+	slot     int32   // the record's index in Platform.records, for life
+	// source and reliable are the prediction's, see profiler.Prediction.
+	source   profiler.Source
+	reliable bool
 
 	// pickup is the scheduler's decision event (Platform.pickup on this
 	// record), bound once when the record is first allocated and kept
@@ -494,8 +559,6 @@ func New(clk clock.Clock, cfg Config) (*Platform, error) {
 	p := &Platform{
 		cfg:       cfg,
 		clk:       clk,
-		inflight:  make(map[harvest.ID]*queued),
-		sgCounts:  make(map[string]int),
 		baseNodes: cfg.Nodes,
 	}
 	if sh, ok := clk.(clock.Sharder); ok {
@@ -521,10 +584,7 @@ func New(clk clock.Clock, cfg Config) (*Platform, error) {
 		p.nodes = append(p.nodes, cluster.NewNode(p.clk, i, nodeCap))
 	}
 	if cfg.PingInterval > 0 {
-		p.pings = make(map[int]*poolStatus, cfg.Nodes)
-		for _, n := range p.nodes {
-			p.pings[n.ID()] = &poolStatus{}
-		}
+		p.pings = make([]poolStatus, len(p.nodes))
 	}
 	p.shards = scheduler.NewShards(cfg.Schedulers, p.nodes, func() scheduler.Algorithm {
 		algo, _ := scheduler.ByName(cfg.Algorithm)
@@ -533,7 +593,7 @@ func New(clk clock.Clock, cfg Config) (*Platform, error) {
 			l.VolumeOnly = cfg.VolumeOnlyCoverage
 			if p.pings != nil {
 				l.Status = func(n *cluster.Node) ([]harvest.Entry, []harvest.Entry) {
-					st := p.pings[n.ID()]
+					st := &p.pings[n.ID()]
 					return st.cpu, st.mem
 				}
 			}
@@ -653,7 +713,7 @@ func (p *Platform) Run(set trace.Set) *Result {
 	if !ok {
 		panic("platform: Run needs a clock.Runner (sim engine or drainable driver); use StartServing for live clocks")
 	}
-	p.result = &Result{Name: p.cfg.Name, Breakdown: make(map[string]*PhaseBreakdown)}
+	p.newResult()
 	// Pre-size the per-invocation accumulators: at Jetstream-replay scale
 	// (figs2: ≥100k invocations per platform) incremental growth of these
 	// slices shows up as whole-percent run time.
@@ -669,7 +729,14 @@ func (p *Platform) Run(set trace.Set) *Result {
 	invs := set.Invocations
 	clock.Feed(p.clk, len(invs),
 		func(i int) float64 { return invs[i].Arrival },
-		func(i int) { p.arrive(invs[i], 0) })
+		func(i int) {
+			ti := &invs[i]
+			spec, ok := function.ByName(ti.App)
+			if !ok {
+				panic("platform: trace names unknown app " + ti.App)
+			}
+			p.arrive(spec, ti.ID, ti.Input, 0)
+		})
 	runner.Run()
 	return p.collect()
 }
@@ -677,29 +744,21 @@ func (p *Platform) Run(set trace.Set) *Result {
 // arm starts the periodic machinery every run mode needs: health pings,
 // the backlog sampler, and the fault injector.
 func (p *Platform) arm() {
-	if p.pings != nil {
+	// Health pings exist for the algorithm that reads their snapshots: with
+	// no coverage scheduler on any shard nobody would look at the copies, so
+	// none are made. (A run without the ticker numbers its later events
+	// lower; their order, which is all (at, seq) decides, is the same.)
+	if p.pings != nil && (len(p.libras) > 0 || p.pingAlways) {
 		if p.sharder != nil {
 			p.armPingLanes(p.sharder)
 		} else {
-			p.pingTickers = append(p.pingTickers, clock.Every(p.clk, p.cfg.PingInterval, func() {
-				for _, n := range p.nodes {
-					if n.Down() {
-						continue // a down node sends no health pings
-					}
-					st := p.pings[n.ID()]
-					st.cpu = n.CPUPool.AppendEntries(st.cpu[:0])
-					st.mem = n.MemPool.AppendEntries(st.mem[:0])
-					if p.covIndex != nil {
-						p.covIndex.UpdateSnapshot(n.ID(), st.cpu, st.mem)
-					}
-				}
-			}))
+			p.pingTickers = append(p.pingTickers, clock.Every(p.clk, p.cfg.PingInterval, p.pingTick))
 		}
 	}
 	if p.cfg.TrackBacklog {
 		p.backlogTicker = clock.Every(p.clk, p.cfg.SampleInterval, func() {
 			p.result.Backlog = append(p.result.Backlog, BacklogSample{
-				T: p.clk.Now(), Pending: p.ready.size, Inflight: len(p.inflight),
+				T: p.clk.Now(), Pending: p.ready.size, Inflight: p.executing,
 				Completed: p.completed, Abandoned: p.result.Faults.Abandoned,
 				Nodes: p.memberCount(),
 			})
@@ -714,6 +773,25 @@ func (p *Platform) arm() {
 	p.armScaler()
 }
 
+// pingTick is one health-ping round on a serial clock: every node that is
+// up refreshes its snapshot — re-copying only the pools that changed since
+// the last round, which at a steady load is few of them — and the coverage
+// index takes the snapshot. The index is refreshed even from an unchanged
+// copy: it costs a few stores, and it keeps the candidate list exactly what
+// a copy-everything round leaves (a sweep may have dropped the node since).
+func (p *Platform) pingTick() {
+	for _, n := range p.nodes {
+		if n.Down() {
+			continue // a down node sends no health pings
+		}
+		st := &p.pings[n.ID()]
+		st.refresh(n, p.pingAlways)
+		if p.covIndex != nil {
+			p.covIndex.UpdateSnapshot(n.ID(), st.cpu, st.mem)
+		}
+	}
+}
+
 // armPingLanes splits the per-node health-ping scan across a sharded
 // clock's parallel lanes, one ticker per lane, each scanning exactly
 // the nodes its lane owns (id % Lanes() == k). The scan shares the
@@ -721,7 +799,8 @@ func (p *Platform) arm() {
 // lane's execution events may be mutating in the same batch — any
 // other partition would be a cross-lane race.
 //
-// The pool copies run concurrently across lanes; the coverage-index
+// The pool copies (of the pools that changed, as in pingTick) run
+// concurrently across lanes; the coverage-index
 // updates — shared scheduler state feeding placement — defer to the
 // merge barrier via Lane.Emit, replaying in lane-major node order
 // (lane 0's stripe, then lane 1's, …). That differs from the serial
@@ -742,7 +821,7 @@ func (p *Platform) armPingLanes(sh clock.Sharder) {
 		p.pingEmit[k] = func() {
 			for i := k; i < len(p.nodes); i += lanes {
 				n := p.nodes[i]
-				if st := p.pings[n.ID()]; st.fresh {
+				if st := &p.pings[n.ID()]; st.fresh {
 					p.covIndex.UpdateSnapshot(n.ID(), st.cpu, st.mem)
 				}
 			}
@@ -750,14 +829,13 @@ func (p *Platform) armPingLanes(sh clock.Sharder) {
 		p.pingTickers = append(p.pingTickers, clock.Every(lane, p.cfg.PingInterval, func() {
 			for i := k; i < len(p.nodes); i += lanes {
 				n := p.nodes[i]
-				st := p.pings[n.ID()]
+				st := &p.pings[n.ID()]
 				if n.Down() {
 					st.fresh = false // a down node sends no health pings
 					continue
 				}
 				st.fresh = true
-				st.cpu = n.CPUPool.AppendEntries(st.cpu[:0])
-				st.mem = n.MemPool.AppendEntries(st.mem[:0])
+				st.refresh(n, p.pingAlways)
 			}
 			if p.covIndex != nil {
 				lane.Emit(p.pingEmit[k])
@@ -800,17 +878,13 @@ func (p *Platform) collect() *Result {
 // and forwards it to the profiler, then to a sharding scheduler. A
 // non-zero deadline is the absolute clock time past which the invocation
 // is dropped instead of executed (live admission control; replays pass 0).
-func (p *Platform) arrive(ti trace.Invocation, deadline float64) {
-	spec, ok := function.ByName(ti.App)
-	if !ok {
-		panic("platform: trace names unknown app " + ti.App)
-	}
+func (p *Platform) arrive(spec *function.Spec, id int64, input function.Input, deadline float64) {
 	inv := p.newInvocation()
 	*inv = cluster.Invocation{
-		ID:        harvest.ID(ti.ID),
+		ID:        harvest.ID(id),
 		App:       spec,
-		Input:     ti.Input,
-		Actual:    spec.Demand(ti.Input),
+		Input:     input,
+		Actual:    spec.Demand(input),
 		UserAlloc: spec.UserAlloc,
 		Arrival:   p.clk.Now(),
 	}
@@ -818,7 +892,7 @@ func (p *Platform) arrive(ti trace.Invocation, deadline float64) {
 		p.cfg.Tracer.Record(obs.Event{T: inv.Arrival, Inv: int64(inv.ID),
 			Kind: obs.KindArrival, Node: -1, App: spec.Name})
 	}
-	if m := p.cfg.Faults.StragglerMultiplier(p.cfg.Seed, int64(ti.ID)); m > 1 {
+	if m := p.cfg.Faults.StragglerMultiplier(p.cfg.Seed, id); m > 1 {
 		// Straggler injection: the execution runs a multiple of its
 		// reference duration (the estimator still observes the inflated
 		// value — stragglers pollute expiry estimates, as in production).
@@ -832,7 +906,7 @@ func (p *Platform) arrive(ti trace.Invocation, deadline float64) {
 	profCost := 0.0
 	if p.est != nil {
 		var trainCost float64
-		pred, trainCost = p.est.Predict(spec, ti.Input)
+		pred, trainCost = p.est.Predict(spec, input)
 		profCost = profiler.PredictOverhead + trainCost
 		if trainCost > 0 {
 			p.result.Trainings++
@@ -844,16 +918,21 @@ func (p *Platform) arrive(ti trace.Invocation, deadline float64) {
 	}
 	inv.Predicted = pred.Demand
 
-	bd := p.breakdown(spec.Name)
-	bd.Count++
-	bd.Frontend += FrontendOverhead
-	bd.Profiler += profCost
+	app := p.appFor(spec)
+	if app.bd == nil {
+		app.bd = &PhaseBreakdown{}
+		p.result.Breakdown[spec.Name] = app.bd
+	}
+	app.bd.Count++
+	app.bd.Frontend += FrontendOverhead
+	app.bd.Profiler += profCost
 
 	// Scheduling (Step 4): the front end assigns invocations to sharding
 	// schedulers round-robin; each scheduler serializes its own decisions.
 	q := p.newQueued()
-	q.inv, q.pred, q.req, q.profCost = inv, pred, p.buildRequest(inv, pred), profCost
-	q.deadline = deadline
+	q.inv, q.app, q.profCost, q.deadline = inv, app, profCost, deadline
+	q.source, q.reliable = pred.Source, pred.Reliable
+	inv.Slot = q.slot
 	p.enqueue(q, p.clk.Now()+FrontendOverhead+profCost)
 }
 
@@ -904,11 +983,9 @@ func (p *Platform) pickup(q *queued) {
 	if q.attempt == 0 {
 		// The Fig 15 scheduling-phase breakdown counts the first
 		// attempt only; retry queueing is recovery time, not overhead.
-		bd := p.breakdown(inv.App.Name)
-		bd.Scheduler += inv.SchedDone - inv.Arrival - FrontendOverhead - q.profCost
+		q.app.bd.Scheduler += inv.SchedDone - inv.Arrival - FrontendOverhead - q.profCost
 	}
-	q.req.Now = p.clk.Now()
-	if node := q.shard.Select(q.req, p.nodes); node != nil {
+	if node := q.shard.Select(p.request(q, p.clk.Now()), p.nodes); node != nil {
 		p.dispatch(q, node)
 	} else {
 		p.pushPending(q)
@@ -954,41 +1031,44 @@ func (p *Platform) abandonUnplaceable(q *queued) {
 	}
 }
 
-// buildRequest derives the scheduling request: the predicted extra demand
-// beyond the user reservation (per axis) for reliable predictions.
-func (p *Platform) buildRequest(inv *cluster.Invocation, pred profiler.Prediction) scheduler.Request {
-	var extra resources.Vector
-	if p.cfg.Harvest && pred.Reliable {
-		extra = pred.Demand.Vector().Sub(inv.UserAlloc).Max(resources.Vector{})
+// extraOf is the predicted demand beyond the user reservation (per axis)
+// that a reliable prediction lets the invocation ask the pools for.
+func (p *Platform) extraOf(q *queued) resources.Vector {
+	if !p.cfg.Harvest || !q.reliable {
+		return resources.Vector{}
 	}
-	dur := pred.Demand.Duration
+	return q.inv.Predicted.Vector().Sub(q.inv.UserAlloc).Max(resources.Vector{})
+}
+
+// request derives q's scheduling request for a placement attempt at now.
+func (p *Platform) request(q *queued, now float64) scheduler.Request {
+	dur := q.inv.Predicted.Duration
 	if dur <= 0 {
 		dur = 1 // unreliable predictions: nominal window
 	}
-	return scheduler.Request{Inv: inv, Extra: extra, PredDuration: dur}
+	return scheduler.Request{Inv: q.inv, Extra: p.extraOf(q), PredDuration: dur, Now: now, Home: q.app.home}
 }
 
 // dispatch is Step 5: the harvest pool on the selected node performs
 // harvesting or acceleration per the prediction, then execution begins.
 func (p *Platform) dispatch(q *queued, node *cluster.Node) {
-	inv, pred := q.inv, q.pred
+	inv, demand := q.inv, q.inv.Predicted
 	opts := cluster.StartOptions{OwnAlloc: inv.UserAlloc}
 	if p.cfg.Harvest {
-		bd := p.breakdown(inv.App.Name)
-		bd.Pool += PoolOpOverhead
+		q.app.bd.Pool += PoolOpOverhead
 		switch {
-		case pred.Reliable:
-			own := safeguard.PlanOwnAllocation(pred.Demand, inv.UserAlloc)
+		case q.reliable:
+			own := safeguard.PlanOwnAllocation(demand, inv.UserAlloc)
 			if p.cfg.AggressiveHarvest {
 				floor := resources.Vector{CPU: 100, Mem: function.MinMem}
-				own = pred.Demand.Vector().Clamp(floor, inv.UserAlloc)
+				own = demand.Vector().Clamp(floor, inv.UserAlloc)
 			}
-			if p.cfg.MemRetreatAfter > 0 && p.sgCounts[inv.App.Name] >= p.cfg.MemRetreatAfter {
+			if p.cfg.MemRetreatAfter > 0 && q.app.retreats >= p.cfg.MemRetreatAfter {
 				// OOM mitigation (§5.1): this function trips the safeguard
 				// too often — stop harvesting its memory.
 				own.Mem = inv.UserAlloc.Mem
 			}
-			extra := q.req.Extra
+			extra := p.extraOf(q)
 			if p.cfg.HarvestCPUOnly {
 				own.Mem = inv.UserAlloc.Mem
 				extra.Mem = 0
@@ -1000,19 +1080,19 @@ func (p *Platform) dispatch(q *queued, node *cluster.Node) {
 			opts.OwnAlloc = own
 			opts.ExtraWant = extra
 			initDelay := 0.0
-			if node.WarmContainers(inv.App.Name) == 0 {
+			if node.WarmFor(inv.App) == 0 {
 				initDelay = inv.App.ColdStart
 			}
 			if p.cfg.TimelinessBlind {
 				opts.HarvestExpiry = math.Inf(1)
 			} else {
-				opts.HarvestExpiry = p.clk.Now() + initDelay + pred.Demand.Duration
+				opts.HarvestExpiry = p.clk.Now() + initDelay + demand.Duration
 			}
 			if p.cfg.Safeguard {
 				opts.SafeguardThreshold = p.cfg.Threshold
 				opts.MonitorWindow = safeguard.DefaultMonitorWindow
 			}
-		case pred.Source == profiler.SourceWarmup:
+		case q.source == profiler.SourceWarmup:
 			// Histogram profiling window: serve with maximum allocation via
 			// a revocable burst grant from uncommitted capacity (§4.3.2) —
 			// the true peaks become observable without crowding admissions.
@@ -1033,8 +1113,7 @@ func (p *Platform) dispatch(q *queued, node *cluster.Node) {
 		// if the harvested remainder is out on loan (see cluster.Node).
 		opts.OOMDelay = p.cfg.Faults.OOMPoint(p.cfg.Seed, int64(inv.ID)) * inv.Actual.Duration
 	}
-	// The invocation's shard reclaims its reservation at completion.
-	p.inflight[inv.ID] = q
+	p.executing++
 	node.Start(inv, opts)
 }
 
@@ -1044,8 +1123,8 @@ func (p *Platform) onComplete(inv *cluster.Invocation) {
 	if p.est != nil {
 		p.est.Observe(inv.App, inv.Input, inv.Actual)
 	}
-	q := p.inflight[inv.ID]
-	delete(p.inflight, inv.ID)
+	q := p.returned(inv)
+	app := q.app
 	q.shard.Release(inv.NodeID, inv.Reservation())
 	p.putQueued(q)
 
@@ -1061,7 +1140,7 @@ func (p *Platform) onComplete(inv *cluster.Invocation) {
 	p.completed++
 	if inv.Safeguard {
 		p.result.Safeguarded++
-		p.sgCounts[inv.App.Name]++
+		app.retreats++
 	}
 	if inv.Harvested {
 		p.result.Harvested++
@@ -1073,9 +1152,8 @@ func (p *Platform) onComplete(inv *cluster.Invocation) {
 		p.result.Faults.Recovered++
 		p.result.Faults.RecoverySeconds += inv.End - inv.FirstFail
 	}
-	bd := p.breakdown(inv.App.Name)
-	bd.Init += inv.ExecStart - inv.SchedDone
-	bd.Exec += inv.End - inv.ExecStart
+	app.bd.Init += inv.ExecStart - inv.SchedDone
+	app.bd.Exec += inv.End - inv.ExecStart
 
 	if p.live {
 		if p.hooks.Done != nil {
@@ -1095,8 +1173,7 @@ func (p *Platform) onComplete(inv *cluster.Invocation) {
 // after a capped exponential backoff — or abandon the invocation once its
 // retry budget is spent.
 func (p *Platform) onFailure(inv *cluster.Invocation, kind cluster.FailureKind) {
-	q := p.inflight[inv.ID]
-	delete(p.inflight, inv.ID)
+	q := p.returned(inv)
 	q.shard.Release(inv.NodeID, inv.Reservation())
 	if kind == cluster.FailOOM {
 		p.result.Faults.OOMKills++
@@ -1105,7 +1182,7 @@ func (p *Platform) onFailure(inv *cluster.Invocation, kind cluster.FailureKind) 
 	}
 
 	q.attempt++
-	if q.attempt > p.cfg.Faults.Retries() {
+	if int(q.attempt) > p.cfg.Faults.Retries() {
 		if p.cfg.Tracer != nil {
 			p.cfg.Tracer.Record(obs.Event{T: p.clk.Now(), Inv: int64(inv.ID),
 				Kind: obs.KindAbandon, Node: -1, Val: float64(q.attempt - 1)})
@@ -1125,7 +1202,7 @@ func (p *Platform) onFailure(inv *cluster.Invocation, kind cluster.FailureKind) 
 		return
 	}
 	p.result.Faults.Retries++
-	delay := p.cfg.Faults.Backoff(p.cfg.Seed, int64(inv.ID), q.attempt)
+	delay := p.cfg.Faults.Backoff(p.cfg.Seed, int64(inv.ID), int(q.attempt))
 	p.clk.Schedule(delay, func() { p.enqueue(q, p.clk.Now()) })
 }
 
@@ -1139,8 +1216,7 @@ func (p *Platform) crashNode(id int) {
 		s.Rebalance(p.nodes)
 	}
 	if p.pings != nil {
-		st := p.pings[id]
-		st.cpu, st.mem = nil, nil
+		p.pings[id].darken()
 		if p.covIndex != nil {
 			// The coverage index mirrors the ping snapshots; the darkened
 			// snapshot drops the node from the candidate list. (Live-pool
@@ -1244,8 +1320,7 @@ func (p *Platform) drainPending() {
 			p.expireQueued(q)
 			continue
 		}
-		q.req.Now = now
-		if node := bestShard.Select(q.req, p.nodes); node != nil {
+		if node := bestShard.Select(p.request(q, now), p.nodes); node != nil {
 			best.pop()
 			p.ready.size--
 			p.dispatch(q, node)
@@ -1361,15 +1436,27 @@ func (p *Platform) newQueued() *queued {
 		p.freeQ = p.freeQ[:k-1]
 		return q
 	}
-	q := &queued{}
+	q := &queued{slot: int32(len(p.records))}
+	p.records = append(p.records, q)
 	q.pickup = func() { p.pickup(q) }
+	return q
+}
+
+// returned finds the scheduling record of an invocation a node hands back
+// (completed or aborted) through the slot the invocation carries.
+func (p *Platform) returned(inv *cluster.Invocation) *queued {
+	q := p.records[inv.Slot]
+	if q.inv != inv {
+		panic(fmt.Sprintf("platform: invocation %d came back with slot %d, which holds another invocation", inv.ID, inv.Slot))
+	}
+	p.executing--
 	return q
 }
 
 // putQueued resets and parks a scheduling record once its invocation
 // completed or was abandoned (retries keep their record).
 func (p *Platform) putQueued(q *queued) {
-	*q = queued{pickup: q.pickup}
+	*q = queued{pickup: q.pickup, slot: q.slot}
 	p.freeQ = append(p.freeQ, q)
 }
 
@@ -1393,13 +1480,28 @@ func (p *Platform) newInvocation() *cluster.Invocation {
 	return inv
 }
 
-func (p *Platform) breakdown(app string) *PhaseBreakdown {
-	bd, ok := p.result.Breakdown[app]
-	if !ok {
-		bd = &PhaseBreakdown{}
-		p.result.Breakdown[app] = bd
+// appFor resolves spec's per-application state, creating it on the
+// application's first arrival. Specs are unique per name for the life of
+// the process, and a platform sees a catalog's worth of them, so a scan by
+// pointer is the whole lookup.
+func (p *Platform) appFor(spec *function.Spec) *appState {
+	for _, a := range p.apps {
+		if a.spec == spec {
+			return a
+		}
 	}
-	return bd
+	app := &appState{spec: spec, home: scheduler.HomeHash(spec.Name)}
+	p.apps = append(p.apps, app)
+	return app
+}
+
+// newResult starts the result of a run (replay or serving session); the
+// per-application breakdowns of the previous one are let go.
+func (p *Platform) newResult() {
+	p.result = &Result{Name: p.cfg.Name, Breakdown: make(map[string]*PhaseBreakdown)}
+	for _, a := range p.apps {
+		a.bd = nil
+	}
 }
 
 // ServeHooks are the live-serving callbacks: Done fires when an
@@ -1426,7 +1528,7 @@ func (p *Platform) StartServing(hooks ServeHooks) {
 	}
 	p.live = true
 	p.hooks = hooks
-	p.result = &Result{Name: p.cfg.Name, Breakdown: make(map[string]*PhaseBreakdown)}
+	p.newResult()
 	p.tracker = metrics.NewUtilizationTracker(p.clk, p.nodes, p.cfg.SampleInterval)
 	p.arm()
 }
@@ -1449,16 +1551,13 @@ func (p *Platform) IngestDeadline(id int64, app string, input function.Input, de
 	if !p.live {
 		return fmt.Errorf("platform: Ingest outside live-serving mode")
 	}
-	if _, ok := function.ByName(app); !ok {
+	spec, ok := function.ByName(app)
+	if !ok {
 		return fmt.Errorf("platform: unknown function %q", app)
 	}
-	p.arrive(trace.Invocation{ID: id, App: app, Input: input, Arrival: p.clk.Now()}, deadline)
+	p.arrive(spec, id, input, deadline)
 	return nil
 }
-
-// InFlight returns how many accepted invocations have not completed or
-// been abandoned yet (scheduler queues + ready queue + executing).
-func (p *Platform) InFlight() int { return len(p.inflight) + p.ready.size }
 
 // Completed returns how many invocations have completed so far.
 func (p *Platform) Completed() int { return p.completed }
@@ -1469,9 +1568,10 @@ func (p *Platform) PendingReady() int { return p.ready.size }
 // StopServing freezes the periodic machinery and returns the aggregate
 // result of the serving session (Records stays empty — the hooks
 // reported per-invocation outcomes as they happened). In-flight
-// invocations are not waited for; callers drain by watching InFlight
-// before stopping. Must run on the clock's callback goroutine, or after
-// its loop has fully stopped.
+// invocations are not waited for: a caller that wants them finished first
+// counts what it ingested against what the hooks reported, as
+// serve.Server.InFlight does, and stops once that reaches zero. Must run
+// on the clock's callback goroutine, or after its loop has fully stopped.
 func (p *Platform) StopServing() *Result {
 	if !p.live {
 		panic("platform: StopServing without StartServing")

@@ -183,10 +183,12 @@ type funcProfile struct {
 // Profiler estimates invocation demands per function. It is safe for
 // concurrent use (multiple sharding schedulers query it).
 type Profiler struct {
-	mu    sync.Mutex
-	cfg   Config
-	rng   *rand.Rand
-	funcs map[string]*funcProfile
+	mu  sync.Mutex
+	cfg Config
+	rng *rand.Rand
+	// funcs holds one profile per function seen, in first-seen order,
+	// found by spec identity (see profileOf).
+	funcs []*funcProfile
 
 	predictions int64
 }
@@ -195,10 +197,23 @@ type Profiler struct {
 func New(cfg Config) *Profiler {
 	cfg.defaults()
 	return &Profiler{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		funcs: make(map[string]*funcProfile),
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
+}
+
+// profileOf returns spec's profile, or nil before its first invocation. A
+// platform serves a catalog's worth of functions, and each is one *Spec
+// for the life of the process (function.ByName hands out the registered
+// pointer), so comparing pointers down a short list beats hashing the
+// name on every Predict and Observe. Callers hold p.mu.
+func (p *Profiler) profileOf(spec *function.Spec) *funcProfile {
+	for _, fp := range p.funcs {
+		if fp.spec == spec {
+			return fp
+		}
+	}
+	return nil
 }
 
 // Predict estimates the demand of one invocation. trainOverhead is the
@@ -209,12 +224,11 @@ func (p *Profiler) Predict(spec *function.Spec, in function.Input) (pred Predict
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.predictions++
-	fp, ok := p.funcs[spec.Name]
-	if !ok {
+	fp := p.profileOf(spec)
+	if fp == nil {
 		// First invocation: serve with user-defined resources (§4.1) and
 		// kick off the one-time offline profiling from this input.
-		fp = p.profileOffline(spec, in)
-		p.funcs[spec.Name] = fp
+		p.funcs = append(p.funcs, p.profileOffline(spec, in))
 		return Prediction{
 			Demand: function.Demand{
 				CPUPeak:  spec.UserAlloc.CPU,
@@ -258,8 +272,8 @@ func (p *Profiler) Predict(spec *function.Spec, in function.Input) (pred Predict
 func (p *Profiler) Observe(spec *function.Spec, in function.Input, actual function.Demand) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fp, ok := p.funcs[spec.Name]
-	if !ok {
+	fp := p.profileOf(spec)
+	if fp == nil {
 		return
 	}
 	fp.hist.Observe(float64(actual.CPUPeak), float64(actual.MemPeak), actual.Duration)
@@ -270,11 +284,12 @@ func (p *Profiler) Observe(spec *function.Spec, in function.Input, actual functi
 func (p *Profiler) Report(name string) (FuncReport, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fp, ok := p.funcs[name]
-	if !ok {
-		return FuncReport{}, false
+	for _, fp := range p.funcs {
+		if fp.spec.Name == name {
+			return fp.report, true
+		}
 	}
-	return fp.report, true
+	return FuncReport{}, false
 }
 
 // Predictions returns how many Predict calls were served.

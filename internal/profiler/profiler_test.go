@@ -322,7 +322,7 @@ func TestPredictMemoMatchesWalk(t *testing.T) {
 		p := New(Config{Seed: 21, Mode: MLOnly})
 		rng := rand.New(rand.NewSource(22))
 		p.Predict(app, app.SampleInput(rng))
-		fp := p.funcs[app.Name]
+		fp := p.profileOf(app)
 
 		sizes := []float64{0, math.Copysign(0, -1), -0.5, -1, -3, 1e300, -1e300,
 			math.SmallestNonzeroFloat64, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
@@ -368,7 +368,7 @@ func TestPredictMemoIsBounded(t *testing.T) {
 	p := New(Config{Seed: 23, Mode: MLOnly})
 	dh := mustApp(t, "DH")
 	p.Predict(dh, function.Input{Size: 4000, Seed: 9})
-	fp := p.funcs["DH"]
+	fp := p.profileOf(dh)
 	fp.memoMax = 3
 	for _, c := range fp.cuts[0] {
 		x := features(c)

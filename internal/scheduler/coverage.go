@@ -71,6 +71,10 @@ type Request struct {
 	// coverage window.
 	PredDuration float64
 	Now          float64
+	// Home is HomeHash(Inv.App.Name) when the caller has resolved it — the
+	// platform does, once per application — and zero when it has not, in
+	// which case the hash path computes it from the name.
+	Home uint64
 }
 
 // Accelerable reports whether the invocation can benefit from extra
@@ -100,6 +104,12 @@ func hashOf(name string) uint64 {
 	return h
 }
 
+// HomeHash is the hash that pins a function to its home node (see
+// HashDefault); it depends on the name alone, so a caller that places many
+// invocations of one function can compute it once and pass it as
+// Request.Home.
+func HomeHash(app string) uint64 { return hashOf(app) }
+
 // HashDefault is OpenWhisk's default placement: a unique hash per
 // function pins its invocations to one node, re-probing cyclically when
 // the home node lacks capacity (§6.3, §8.4 baseline 1). Pinning reuses
@@ -114,7 +124,11 @@ func (HashDefault) Select(req Request, nodes []*cluster.Node, admit func(*cluste
 	if len(nodes) == 0 {
 		return nil
 	}
-	home := int(hashOf(req.Inv.App.Name) % uint64(len(nodes)))
+	h := req.Home
+	if h == 0 {
+		h = hashOf(req.Inv.App.Name)
+	}
+	home := int(h % uint64(len(nodes)))
 	for i := 0; i < len(nodes); i++ {
 		n := nodes[(home+i)%len(nodes)]
 		if admit(n, req.Inv.Reservation()) {

@@ -135,3 +135,7 @@ func axisAlive(count int, bound float64, now float64, volumeOnly bool) bool {
 
 // Candidates returns the current candidate count (diagnostics and tests).
 func (x *CoverageIndex) Candidates() int { return len(x.candidates) }
+
+// AppendCandidates appends the candidate node ids to dst, in the list's
+// own (arbitrary) order (diagnostics and tests).
+func (x *CoverageIndex) AppendCandidates(dst []int) []int { return append(dst, x.candidates...) }
