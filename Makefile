@@ -65,9 +65,11 @@ bench-ab:
 # Where a replay's CPU time goes: the 250k-invocation Jetstream replay the
 # benchmark's replay-baseline (VARIANT=default) and replay-steady
 # (VARIANT=libra) workloads time, profiled through libra-sim, then the top
-# of the cumulative listing. The profile stays in PROF_DIR for
-# `go tool pprof -list`; PROF_ARGS=-quick-sized runs (CI) pass a smaller
-# -invocations.
+# of the cumulative listing and, wherever they rank, the lines of
+# profiler.profileOffline and of the goroutines it starts: the offline
+# training's share of the replay.
+# The profile stays in PROF_DIR for `go tool pprof -list`; PROF_ARGS=
+# -quick-sized runs (CI) pass a smaller -invocations.
 VARIANT ?= default
 PROF_DIR ?= .bench_build
 PROF_ARGS ?= -invocations 250000
@@ -77,13 +79,20 @@ prof:
 	$(PROF_DIR)/libra-sim -variant $(VARIANT) -testbed jetstream $(PROF_ARGS) -rpm 750 -mix-skew 1.05 \
 	  -cpuprofile $(PROF_DIR)/cpu-$(VARIANT).prof
 	$(GO) tool pprof -top -cum -nodecount 40 $(PROF_DIR)/libra-sim $(PROF_DIR)/cpu-$(VARIANT).prof
+	@echo "offline training: profileOffline on the replay's goroutine, sideBySide.func1 on the two it starts"
+	@$(GO) tool pprof -top -cum -nodecount 2000 $(PROF_DIR)/libra-sim $(PROF_DIR)/cpu-$(VARIANT).prof 2>/dev/null \
+	  | grep -E 'profiler\.(\(\*Profiler\)\.profileOffline|sideBySide\.func1)$$' || echo "      (no sample: this variant trains no forests)"
 
-# The sweep split search against the per-threshold recount it replaced
-# (internal/mlkit/tree_test.go), on mutated training sets: ties, NaN and
-# ±Inf values, repeated samples, midpoints that round onto a value.
-# `go test` alone replays only the seed corpus.
+# The forests' two differential fuzz targets, 20 s each, on mutated
+# training sets (ties, NaN and ±Inf values, repeated samples, midpoints
+# that round onto a value, columns that order the rows alike): the sweep
+# split search against the per-threshold recount it replaced, and whole
+# trees from the sort-once grower against the sort-per-node grower it
+# replaced (both references live in internal/mlkit/tree_test.go).
+# `go test` alone replays only the seed corpora.
 fuzz-mlkit:
 	$(GO) test -run '^$$' -fuzz FuzzGiniSweepMatchesScan -fuzztime 20s ./internal/mlkit/
+	$(GO) test -run '^$$' -fuzz FuzzPresortedGrowMatchesPerNodeSort -fuzztime 20s ./internal/mlkit/
 
 # The harvest pool against the four-map pool it replaced
 # (internal/harvest/mappool_test.go): Put / AppendLoans / Reharvest /

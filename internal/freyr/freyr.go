@@ -41,12 +41,12 @@ const PeakQuantile = 0.9
 // profiler.Estimator.
 type Estimator struct {
 	mu   sync.Mutex
-	hist map[string][]function.Demand
+	hist profiler.History
 }
 
 // New creates an Estimator.
 func New() *Estimator {
-	return &Estimator{hist: make(map[string][]function.Demand)}
+	return &Estimator{}
 }
 
 // Predict implements profiler.Estimator. With no history the invocation
@@ -56,7 +56,7 @@ func New() *Estimator {
 func (e *Estimator) Predict(spec *function.Spec, _ function.Input) (profiler.Prediction, float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	h := e.hist[spec.Name]
+	h := e.hist.Of(spec)
 	if len(h) == 0 {
 		return profiler.Prediction{
 			Demand:   function.Demand{CPUPeak: spec.UserAlloc.CPU, MemPeak: spec.UserAlloc.Mem},
@@ -94,11 +94,7 @@ func (e *Estimator) Predict(spec *function.Spec, _ function.Input) (profiler.Pre
 func (e *Estimator) Observe(spec *function.Spec, _ function.Input, actual function.Demand) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	h := append(e.hist[spec.Name], actual)
-	if len(h) > HistoryDepth {
-		h = h[len(h)-HistoryDepth:]
-	}
-	e.hist[spec.Name] = h
+	e.hist.Add(spec, actual, HistoryDepth)
 }
 
 func quantile(vals []float64, q float64) float64 {

@@ -9,6 +9,7 @@ package histogram
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -170,20 +171,58 @@ const (
 	HeadQ = 0.05
 )
 
-// Quantiles computes exact sample quantiles of data (sorted copy, linear
-// interpolation). Used by the metrics package for reporting; the online
-// Histogram is for the profiler's streaming estimates.
+// Quantiles computes exact sample quantiles of data by linear
+// interpolation between order statistics: what quantileSorted reads off a
+// sorted copy. The copy is not sorted, though. A quantile reads at most two
+// order statistics, and selectRanks puts just those where a sort would —
+// linear in len(data) where the sort of a replay's 250 000 latencies was
+// half of its report. Which of several equal values lands on a rank
+// cannot show, except in the sign of a zero. Used by the metrics package
+// for reporting; the online Histogram is for the profiler's streaming
+// estimates.
 func Quantiles(data []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	if len(data) == 0 {
 		return out
 	}
 	s := append([]float64(nil), data...)
-	sort.Float64s(s)
+	var few [16]int
+	ranks := few[:0]
+	for _, q := range qs {
+		i, j := quantileRanks(len(s), q)
+		ranks = append(ranks, i, j)
+	}
+	sort.Ints(ranks)
+	// NaN sorts before everything (sort.Float64s): move them up front, and
+	// the rest compares with a plain <.
+	nan := 0
+	for i, v := range s {
+		if v != v {
+			s[i], s[nan] = s[nan], s[i]
+			nan++
+		}
+	}
+	for len(ranks) > 0 && ranks[0] < nan {
+		ranks = ranks[1:]
+	}
+	selectRanks(s, nan, len(s), ranks, 2*bits.Len(uint(len(s))))
 	for i, q := range qs {
 		out[i] = quantileSorted(s, q)
 	}
 	return out
+}
+
+// quantileRanks returns the one or two indices of the sorted sample that
+// quantileSorted reads for q.
+func quantileRanks(n int, q float64) (i, j int) {
+	switch {
+	case q <= 0:
+		return 0, 0
+	case q >= 1:
+		return n - 1, n - 1
+	}
+	i = int(q * float64(n-1))
+	return i, min(i+1, n-1)
 }
 
 func quantileSorted(s []float64, q float64) float64 {
@@ -200,4 +239,62 @@ func quantileSorted(s []float64, q float64) float64 {
 		return s[len(s)-1]
 	}
 	return s[i]*(1-frac) + s[i+1]*frac
+}
+
+// selectRanks rearranges s[lo:hi], which holds no NaN, until every index
+// in ranks (ascending, within [lo, hi)) holds the value a sort of the
+// range would put there: quickselect, following every rank asked for. A
+// range that is short, or reached after depth partitions — the budget of
+// an input that keeps splitting badly — is sorted outright.
+func selectRanks(s []float64, lo, hi int, ranks []int, depth int) {
+	for len(ranks) > 0 && hi-lo > 1 {
+		if hi-lo <= 16 || depth == 0 {
+			sort.Float64s(s[lo:hi])
+			return
+		}
+		depth--
+		p := partition(s, lo, hi)
+		below := sort.SearchInts(ranks, p)
+		selectRanks(s, lo, p, ranks[:below], depth)
+		ranks = ranks[below:]
+		for len(ranks) > 0 && ranks[0] == p {
+			ranks = ranks[1:]
+		}
+		lo = p + 1
+	}
+}
+
+// partition picks the median of the first, middle and last value of
+// s[lo:hi] as the pivot and returns where it ends up, with nothing larger
+// before it and nothing smaller after it.
+func partition(s []float64, lo, hi int) int {
+	mid, last := lo+(hi-lo)/2, hi-1
+	if s[mid] < s[lo] {
+		s[mid], s[lo] = s[lo], s[mid]
+	}
+	if s[last] < s[lo] {
+		s[last], s[lo] = s[lo], s[last]
+	}
+	if s[last] < s[mid] {
+		s[last], s[mid] = s[mid], s[last]
+	}
+	s[lo], s[mid] = s[mid], s[lo]
+	pivot := s[lo]
+	i, j := lo+1, last
+	for {
+		for i <= j && s[i] < pivot {
+			i++
+		}
+		for i <= j && s[j] > pivot {
+			j--
+		}
+		if i >= j {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i++
+		j--
+	}
+	s[lo], s[j] = s[j], s[lo]
+	return j
 }

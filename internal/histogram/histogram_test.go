@@ -1,8 +1,10 @@
 package histogram
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -159,6 +161,83 @@ func TestQuantilesExact(t *testing.T) {
 	}
 	if q := Quantiles(nil, 0.5)[0]; q != 0 {
 		t.Fatalf("empty Quantiles = %g", q)
+	}
+}
+
+// quantilesBySorting is what Quantiles computed before it selected: the
+// same interpolation over a fully sorted copy.
+func quantilesBySorting(data []float64, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
+	s := append([]float64(nil), data...)
+	sort.Float64s(s)
+	for i, q := range qs {
+		out[i] = quantileSorted(s, q)
+	}
+	return out
+}
+
+// TestQuantilesMatchSortedReference holds the selecting Quantiles to the
+// sorting one bit for bit, on the shapes that trip a selection: runs of
+// duplicates, infinities and NaN, a single sample, q at and beyond both
+// ends, positions q·(n−1) that are whole numbers (the upper neighbour is
+// read with weight zero, and past the end not at all), and orders that
+// make median-of-three pivots split badly.
+func TestQuantilesMatchSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	inf := math.Inf(1)
+	random := func(n int, draw func() float64) []float64 {
+		d := make([]float64, n)
+		for i := range d {
+			d[i] = draw()
+		}
+		return d
+	}
+	organPipe := make([]float64, 2001)
+	for i := range organPipe {
+		organPipe[i] = float64(min(i, len(organPipe)-1-i))
+	}
+	ascending := random(5000, func() float64 { return 0 })
+	for i := range ascending {
+		ascending[i] = float64(i)
+	}
+	descending := make([]float64, len(ascending))
+	for i, v := range ascending {
+		descending[len(descending)-1-i] = v
+	}
+	cases := map[string][]float64{
+		"single":           {7},
+		"pair":             {2, 1},
+		"all equal":        random(300, func() float64 { return 3 }),
+		"three values":     random(1000, func() float64 { return float64(rng.Intn(3)) }),
+		"infinities":       append(random(200, rng.NormFloat64), inf, -inf, inf, -inf),
+		"NaN":              append(random(200, rng.NormFloat64), math.NaN(), math.NaN(), -inf),
+		"only NaN":         {math.NaN(), math.NaN(), math.NaN()},
+		"n-1 = 100":        random(101, rng.ExpFloat64),
+		"n-1 = 1000":       random(1001, rng.ExpFloat64),
+		"latencies":        random(250_000, rng.ExpFloat64),
+		"ascending":        ascending,
+		"descending":       descending,
+		"organ pipe":       organPipe,
+		"seventeen":        random(17, rng.Float64),
+		"sixteen and ties": random(16, func() float64 { return float64(rng.Intn(4)) }),
+	}
+	for i := 0; i < 300; i++ { // every length around the sort-outright cutoff, mostly ties
+		cases[fmt.Sprint("small ", i)] = random(1+i%60, func() float64 { return float64(rng.Intn(1 + i%7)) })
+	}
+	qs := []float64{-1, 0, 0.01, 0.05, 0.25, 0.5, 0.5, 0.75, 0.95, 0.99, 0.999, 1, 2}
+	for name, data := range cases {
+		got, want := Quantiles(data, qs...), quantilesBySorting(data, qs...)
+		for i, q := range qs {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%s: q=%v: selected %v, sorted %v", name, q, got[i], want[i])
+			}
+		}
+		// One quantile at a time asks for other ranks than all at once.
+		for _, q := range []float64{0.01, 0.5, 0.99} {
+			if got, want := Quantiles(data, q)[0], quantilesBySorting(data, q)[0]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: q=%v alone: selected %v, sorted %v", name, q, got, want)
+			}
+		}
 	}
 }
 

@@ -35,7 +35,8 @@ type forest struct {
 // of row indices handed to grow as its sample set; no rows are copied.
 func (f *forest) fit(X [][]float64, cfg ForestConfig, grow func(g *grower, idx []int)) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := grower{cols: columns(X), nodes: f.nodes[:0]}
+	g := newGrower(X)
+	g.nodes = f.nodes[:0]
 	f.roots = f.roots[:0]
 	n := len(X)
 	idx := make([]int, n)
@@ -84,7 +85,7 @@ func (f *RandomForestClassifier) FitClassifier(X [][]float64, y []int) {
 	checkFit(X, len(y))
 	f.Config.defaults()
 	f.k = NumClasses(y)
-	f.fit(X, f.Config, func(g *grower, idx []int) { g.growClassifier(y, f.k, idx, 0) })
+	f.fit(X, f.Config, func(g *grower, idx []int) { g.growClassifier(y, f.k, idx) })
 }
 
 // PredictClass implements Classifier by majority vote; ties break toward
@@ -119,7 +120,7 @@ type RandomForestRegressor struct {
 func (f *RandomForestRegressor) FitRegressor(X [][]float64, y []float64) {
 	checkFit(X, len(y))
 	f.Config.defaults()
-	f.fit(X, f.Config, func(g *grower, idx []int) { g.growRegressor(y, idx, 0) })
+	f.fit(X, f.Config, func(g *grower, idx []int) { g.growRegressor(y, idx) })
 }
 
 // Predict implements Regressor.

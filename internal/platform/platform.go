@@ -357,6 +357,8 @@ type Platform struct {
 	// invSlab is what is left of the chunk replayed invocations are carved
 	// from (newInvocation).
 	invSlab []cluster.Invocation
+	// queuedSlab is the same for scheduling records (newQueued).
+	queuedSlab []queued
 	// apps is the per-application state, one entry per function that has
 	// arrived, found by spec identity once per arrival (appFor).
 	apps []*appState
@@ -1428,7 +1430,13 @@ func (p *Platform) stopPing() {
 	p.pingTickers = p.pingTickers[:0]
 }
 
-// newQueued returns a fresh or recycled scheduling record.
+// newQueued returns a recycled scheduling record or, with the free list
+// empty, a new one. A replay carves those from chunks, as newInvocation
+// does: under overload most of the trace is queued before much of it has
+// completed, and the backlog takes a record per invocation. A live server
+// recycles at its backlog's high-water mark, tens of thousands of records
+// over millions of requests, and goes on allocating them singly — there
+// is nothing to save.
 func (p *Platform) newQueued() *queued {
 	if k := len(p.freeQ); k > 0 {
 		q := p.freeQ[k-1]
@@ -1436,7 +1444,13 @@ func (p *Platform) newQueued() *queued {
 		p.freeQ = p.freeQ[:k-1]
 		return q
 	}
-	q := &queued{slot: int32(len(p.records))}
+	var q *queued
+	if p.live {
+		q = new(queued)
+	} else {
+		q = carve(&p.queuedSlab)
+	}
+	q.slot = int32(len(p.records))
 	p.records = append(p.records, q)
 	q.pickup = func() { p.pickup(q) }
 	return q
@@ -1460,8 +1474,9 @@ func (p *Platform) putQueued(q *queued) {
 	p.freeQ = append(p.freeQ, q)
 }
 
-// invChunk is how many invocation records a replay allocates at a time.
-const invChunk = 256
+// recordChunk is how many invocation records, and how many scheduling
+// records, a replay allocates at a time.
+const recordChunk = 256
 
 // newInvocation returns the record an arrival fills in. A replay keeps
 // every invocation until it ends (Result.Records), so it carves them from
@@ -1472,12 +1487,18 @@ func (p *Platform) newInvocation() *cluster.Invocation {
 	if p.live {
 		return new(cluster.Invocation)
 	}
-	if len(p.invSlab) == 0 {
-		p.invSlab = make([]cluster.Invocation, invChunk)
+	return carve(&p.invSlab)
+}
+
+// carve takes the next record off slab, first allocating a new chunk if
+// the last one is used up.
+func carve[T any](slab *[]T) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, recordChunk)
 	}
-	inv := &p.invSlab[0]
-	p.invSlab = p.invSlab[1:]
-	return inv
+	rec := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return rec
 }
 
 // appFor resolves spec's per-application state, creating it on the

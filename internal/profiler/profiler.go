@@ -312,15 +312,7 @@ func (p *Profiler) profileOffline(spec *function.Spec, in function.Input) *funcP
 	fp.report = trainAndScore(fp, X, cpuY, memY, durY, p.cfg, p.rng.Int63())
 	fp.report.App = spec.Name
 	fp.trained = true
-	switch p.cfg.Mode {
-	case MLOnly:
-		fp.useML = true
-	case HistOnly:
-		fp.useML = false
-	default:
-		fp.useML = fp.report.SizeRelated
-	}
-	fp.report.UseML = fp.useML
+	fp.useML = fp.report.UseML
 	if fp.useML {
 		for f := range fp.cuts {
 			c := fp.cpuModel.AppendThresholds(nil, f)
@@ -370,7 +362,18 @@ func (fp *funcProfile) walk(x []float64) function.Demand {
 	}
 }
 
-// trainAndScore fits the three RF models on a 7:3 split and scores them.
+// trainAndScore fits the three RF models on a 7:3 split, scores them,
+// decides whether the function is size-related and with that whether the
+// models will serve (always under MLOnly, never under HistOnly). Only if
+// they will are the three refitted on the full dataset. Otherwise they
+// keep their evaluation fits, which nothing reads: Predict walks the
+// forests under useML only, and the cut lists are built under it too.
+//
+// The three fits of a round run side by side. Each forest draws from a
+// rand.Source of its own, seeded from its Config, and writes its own nodes
+// and nothing else; X, the labels and the split are only read. So no fit
+// can tell whether or when the others ran, and the schedule shows in no
+// node — only in the wall time.
 func trainAndScore(fp *funcProfile, X [][]float64, cpuY, memY []int, durY []float64, cfg Config, seed int64) FuncReport {
 	rng := rand.New(rand.NewSource(seed))
 	train, test := mlkit.TrainTestSplit(len(X), 0.7, rng)
@@ -379,23 +382,40 @@ func trainAndScore(fp *funcProfile, X [][]float64, cpuY, memY []int, durY []floa
 	fp.memModel = &mlkit.RandomForestClassifier{Config: mlkit.ForestConfig{Trees: 30, Seed: seed + 1}}
 	fp.durModel = &mlkit.RandomForestRegressor{Config: mlkit.ForestConfig{Trees: 30, Seed: seed + 2}}
 
-	accCPU := mlkit.EvaluateClassifier(fp.cpuModel, X, cpuY, train, test)
-	accMem := mlkit.EvaluateClassifier(fp.memModel, X, memY, train, test)
-	r2 := mlkit.EvaluateRegressor(fp.durModel, X, durY, train, test)
-
-	// Refit on the full dataset for serving.
-	fp.cpuModel.FitClassifier(X, cpuY)
-	fp.memModel.FitClassifier(X, memY)
-	fp.durModel.FitRegressor(X, durY)
-
-	related := accCPU >= cfg.AccThreshold && accMem >= cfg.AccThreshold && r2 >= cfg.R2Threshold
-	return FuncReport{
-		SizeRelated: related,
-		CPUAccuracy: accCPU,
-		MemAccuracy: accMem,
-		DurationR2:  r2,
-		TrainedOn:   len(X),
+	rep := FuncReport{TrainedOn: len(X)}
+	sideBySide(
+		func() { rep.DurationR2 = mlkit.EvaluateRegressor(fp.durModel, X, durY, train, test) },
+		func() { rep.CPUAccuracy = mlkit.EvaluateClassifier(fp.cpuModel, X, cpuY, train, test) },
+		func() { rep.MemAccuracy = mlkit.EvaluateClassifier(fp.memModel, X, memY, train, test) },
+	)
+	rep.SizeRelated = rep.CPUAccuracy >= cfg.AccThreshold && rep.MemAccuracy >= cfg.AccThreshold &&
+		rep.DurationR2 >= cfg.R2Threshold
+	rep.UseML = cfg.Mode == MLOnly || cfg.Mode == Auto && rep.SizeRelated
+	if rep.UseML {
+		sideBySide(
+			func() { fp.durModel.FitRegressor(X, durY) },
+			func() { fp.cpuModel.FitClassifier(X, cpuY) },
+			func() { fp.memModel.FitClassifier(X, memY) },
+		)
 	}
+	return rep
+}
+
+// sideBySide runs first on the calling goroutine and each of rest on one
+// of its own, and returns once all have. The regressor's fit is the long
+// one (its split search re-adds every sample per threshold), so it goes
+// first and the two classifiers share whatever other processor there is.
+func sideBySide(first func(), rest ...func()) {
+	var wg sync.WaitGroup
+	for _, f := range rest {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f()
+		}()
+	}
+	first()
+	wg.Wait()
 }
 
 // features maps an input size to the model feature vector.

@@ -3,10 +3,13 @@ package profiler
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
 	"libra/internal/function"
+	"libra/internal/mlkit"
 )
 
 func mustApp(t *testing.T, name string) *function.Spec {
@@ -268,6 +271,32 @@ func TestWindowEstimator(t *testing.T) {
 	}
 }
 
+// Windows are kept per spec, found by its identity: what one function
+// did says nothing about another, whatever the two are called.
+func TestWindowEstimatorKeepsFunctionsApart(t *testing.T) {
+	w := NewWindowEstimator(3)
+	dh, vp := mustApp(t, "DH"), mustApp(t, "VP")
+	twin := *dh // registered nowhere, same name
+	in := function.Input{Size: 100}
+	w.Observe(dh, in, function.Demand{CPUPeak: 3000, MemPeak: 300, Duration: 4})
+	for _, other := range []*function.Spec{vp, &twin} {
+		if pred, _ := w.Predict(other, in); pred.Reliable || pred.Demand.CPUPeak != other.UserAlloc.CPU {
+			t.Fatalf("%s predicted from DH's window: %+v", other.Name, pred)
+		}
+	}
+	w.Observe(vp, in, function.Demand{CPUPeak: 500, MemPeak: 64, Duration: 1})
+	w.Observe(&twin, in, function.Demand{CPUPeak: 700, MemPeak: 32, Duration: 2})
+	for spec, want := range map[*function.Spec]function.Demand{
+		dh:    {CPUPeak: 3000, MemPeak: 300, Duration: 4},
+		vp:    {CPUPeak: 500, MemPeak: 64, Duration: 1},
+		&twin: {CPUPeak: 700, MemPeak: 32, Duration: 2},
+	} {
+		if pred, _ := w.Predict(spec, in); !pred.Reliable || pred.Demand != want {
+			t.Errorf("%s: window-max prediction %+v, want %+v", spec.Name, pred.Demand, want)
+		}
+	}
+}
+
 func TestWindowEstimatorDefaultSize(t *testing.T) {
 	w := NewWindowEstimator(0)
 	if w.n != 5 {
@@ -411,5 +440,102 @@ func TestPredictDoesNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { p.Predict(vp, in) }); n != 0 {
 		t.Errorf("histogram: %v allocs per Predict", n)
+	}
+}
+
+// trainedModels is what trainAndScore leaves behind for one function.
+type trainedModels struct {
+	report        FuncReport
+	cpu, mem, dur any
+	cuts          [2][]float64
+}
+
+// trainCatalogue profiles every catalogue function on one profiler, in
+// catalogue order, and returns what each training produced. DeepEqual on
+// the forests reaches their node arrays, roots and class counts.
+func trainCatalogue(t *testing.T, seed int64) []trainedModels {
+	t.Helper()
+	p := New(Config{Seed: seed})
+	rng := rand.New(rand.NewSource(seed + 1))
+	var out []trainedModels
+	for _, app := range function.Apps() {
+		p.Predict(app, app.SampleInput(rng))
+		fp := p.profileOf(app)
+		out = append(out, trainedModels{fp.report, fp.cpuModel, fp.memModel, fp.durModel, fp.cuts})
+	}
+	return out
+}
+
+// The three fits of a round run on goroutines of their own; which of them
+// the scheduler runs first, and whether at the same time, must not show
+// in anything training produces.
+func TestTrainAndScoreIsScheduleIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial := trainCatalogue(t, 31)
+	runtime.GOMAXPROCS(4)
+	parallel := trainCatalogue(t, 31)
+	for i, app := range function.Apps() {
+		if !reflect.DeepEqual(serial[i], parallel[i]) {
+			t.Errorf("%s: training at GOMAXPROCS 1 and at 4 differ: %v and %v", app.Name, serial[i].report, parallel[i].report)
+		}
+	}
+}
+
+// An application that fails the thresholds is served by its histograms,
+// so its forests are fitted for the evaluation only, three times and not
+// six: they are the ones grown on the training split, not the ones grown
+// on every duplicate. And skipping the refit takes nothing from
+// Profiler.rng, which each function draws from for its duplicates and then
+// once for its model seed — the function profiled next gets the training
+// set and the seed it always got.
+func TestAutoModeSkipsUnusedRefit(t *testing.T) {
+	const seed = 4
+	vp, dh := mustApp(t, "VP"), mustApp(t, "DH")
+	inVP, inDH := function.Input{Size: 2000, Seed: 3}, function.Input{Size: 4000, Seed: 9}
+	p := New(Config{Seed: seed})
+	p.Predict(vp, inVP)
+	p.Predict(dh, inDH)
+	cfg := p.cfg
+
+	// VP's training by hand, on the profiler's random stream.
+	rng := rand.New(rand.NewSource(seed))
+	X, _, _, durY := Duplicate(vp, inVP, cfg.DuplicateMax, cfg.PilotNoise, rng)
+	modelSeed := rng.Int63()
+	train, _ := mlkit.TrainTestSplit(len(X), 0.7, rand.New(rand.NewSource(modelSeed)))
+	onSplit := &mlkit.RandomForestRegressor{Config: mlkit.ForestConfig{Trees: 30, Seed: modelSeed + 2}}
+	onSplit.FitRegressor(mlkit.Rows(X, train), mlkit.FloatsAt(durY, train))
+	onAll := &mlkit.RandomForestRegressor{Config: mlkit.ForestConfig{Trees: 30, Seed: modelSeed + 2}}
+	onAll.FitRegressor(X, durY)
+
+	got := p.profileOf(vp)
+	if got.useML || got.report.SizeRelated {
+		t.Fatalf("VP is served by its forests: %v", got.report)
+	}
+	if !reflect.DeepEqual(got.durModel, onSplit) {
+		t.Error("VP: the duration forest is not the one grown on the training split")
+	}
+	if reflect.DeepEqual(got.durModel, onAll) {
+		t.Error("VP: the duration forest was refitted on the whole dataset")
+	}
+
+	// DH's, continuing on the same stream.
+	X, cpuY, memY, durY := Duplicate(dh, inDH, cfg.DuplicateMax, cfg.PilotNoise, rng)
+	want := &funcProfile{}
+	want.report = trainAndScore(want, X, cpuY, memY, durY, cfg, rng.Int63())
+	want.report.App = dh.Name
+	next := p.profileOf(dh)
+	if !next.useML {
+		t.Fatalf("DH is not served by its forests: %v", next.report)
+	}
+	if !reflect.DeepEqual(next.report, want.report) ||
+		!reflect.DeepEqual(next.durModel, want.durModel) ||
+		!reflect.DeepEqual(next.cpuModel, want.cpuModel) ||
+		!reflect.DeepEqual(next.memModel, want.memModel) {
+		t.Errorf("DH, profiled after VP, differs from its training by hand: %v, want %v", next.report, want.report)
+	}
+	onAll = &mlkit.RandomForestRegressor{Config: next.durModel.Config}
+	onAll.FitRegressor(X, durY)
+	if !reflect.DeepEqual(next.durModel, onAll) {
+		t.Error("DH: the duration forest that serves is not the one grown on the whole dataset")
 	}
 }

@@ -14,7 +14,7 @@ import (
 type WindowEstimator struct {
 	mu   sync.Mutex
 	n    int
-	hist map[string][]function.Demand
+	hist History
 }
 
 // NewWindowEstimator creates a WindowEstimator with window size n (the
@@ -23,7 +23,7 @@ func NewWindowEstimator(n int) *WindowEstimator {
 	if n <= 0 {
 		n = 5
 	}
-	return &WindowEstimator{n: n, hist: make(map[string][]function.Demand)}
+	return &WindowEstimator{n: n}
 }
 
 // Predict returns the window-max demand estimate. Until the window has at
@@ -32,7 +32,7 @@ func NewWindowEstimator(n int) *WindowEstimator {
 func (w *WindowEstimator) Predict(spec *function.Spec, _ function.Input) (Prediction, float64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	win := w.hist[spec.Name]
+	win := w.hist.Of(spec)
 	if len(win) == 0 {
 		return Prediction{
 			Demand:   function.Demand{CPUPeak: spec.UserAlloc.CPU, MemPeak: spec.UserAlloc.Mem},
@@ -59,11 +59,53 @@ func (w *WindowEstimator) Predict(spec *function.Spec, _ function.Input) (Predic
 func (w *WindowEstimator) Observe(spec *function.Spec, _ function.Input, actual function.Demand) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	win := append(w.hist[spec.Name], actual)
-	if len(win) > w.n {
-		win = win[len(win)-w.n:]
+	w.hist.Add(spec, actual, w.n)
+}
+
+// History keeps the demands of each function's latest completed
+// invocations: what the estimators that predict from the past alone
+// (WindowEstimator, freyr.Estimator) remember. A function is found by the
+// identity of its spec down a short list, as in Profiler.profileOf and for
+// its reason; two specs never share a list, whatever their names. The
+// zero History is empty. It does no locking of its own.
+type History struct {
+	funcs []funcHistory
+}
+
+type funcHistory struct {
+	spec   *function.Spec
+	recent []function.Demand
+}
+
+func (h *History) find(spec *function.Spec) *funcHistory {
+	for i := range h.funcs {
+		if h.funcs[i].spec == spec {
+			return &h.funcs[i]
+		}
 	}
-	w.hist[spec.Name] = win
+	return nil
+}
+
+// Of returns spec's demands, oldest first; empty before its first Add.
+func (h *History) Of(spec *function.Spec) []function.Demand {
+	if fh := h.find(spec); fh != nil {
+		return fh.recent
+	}
+	return nil
+}
+
+// Add appends an outcome to spec's demands and drops the oldest beyond
+// depth.
+func (h *History) Add(spec *function.Spec, actual function.Demand, depth int) {
+	fh := h.find(spec)
+	if fh == nil {
+		h.funcs = append(h.funcs, funcHistory{spec: spec})
+		fh = &h.funcs[len(h.funcs)-1]
+	}
+	fh.recent = append(fh.recent, actual)
+	if len(fh.recent) > depth {
+		fh.recent = fh.recent[len(fh.recent)-depth:]
+	}
 }
 
 // Estimator is the interface the platform uses for demand prediction —
