@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check fmt-check vet bench bench-digest bench-ab prof fuzz-mlkit fuzz-harvest fuzz-sim bench-json bench-pr8 bench-pr9 bench-pr10 quick report examples clean figs4-smoke scale-race parallel-equiv
+.PHONY: all build test race check fmt-check vet bench bench-digest bench-ab prof fuzz-mlkit fuzz-harvest fuzz-sim fuzz-serve bench-json bench-pr8 bench-pr9 bench-pr10 quick report examples clean figs4-smoke scale-race parallel-equiv
 
 # Default verify path: formatting, vet, build, tests — then the race
 # detector over the whole module (the parallel experiment harness must
@@ -55,6 +55,9 @@ bench-digest:
 # 15 s a run, then per end-to-end metric each side's median [IQR], the
 # working tree's wins and the verdict (scripts/bench-ab.sh has the rule).
 # Ten pairs take about six minutes; repeat with SEED=7 before claiming.
+# W=live-http and W=live-inproc are supported claims like the replays: the
+# verdict column reads inv_per_s as higher-is-better and every other
+# metric, overhead_ms among them, as lower-is-better.
 W ?= replay-baseline
 PAIRS ?= 10
 SEED ?= 42
@@ -107,6 +110,14 @@ fuzz-harvest:
 # with most times tied. `go test` alone replays only the seed corpus.
 fuzz-sim:
 	$(GO) test -run '^$$' -fuzz FuzzHeapMatchesContainerHeap -fuzztime 20s ./internal/sim/
+
+# The invoke handler's one-pass query parser against url.ParseQuery plus
+# the three-parse reading it replaced (internal/serve/invoke_test.go):
+# repeated keys, escapes in keys and values, ';', empty values, non-finite
+# and overflowing numbers — same input, deadline and nowait bit, same
+# refusals. `go test` alone replays only the seed corpus.
+fuzz-serve:
+	$(GO) test -run '^$$' -fuzz FuzzInvokeQuery -fuzztime 20s ./internal/serve/
 
 # benchstat-comparable output: pipe two runs into benchstat to compare.
 bench:

@@ -13,6 +13,7 @@
 //
 //	curl -X POST 'localhost:8080/invoke/DH?size=4000'
 //	curl -X POST 'localhost:8080/invoke/DH?deadline_ms=250'
+//	curl -X POST 'localhost:8080/invoke/DH?nowait=1&deadline_ms=250'
 //	curl localhost:8080/registry
 //	curl localhost:8080/stats
 //
@@ -288,10 +289,12 @@ func loadDone(lg *serve.LoadGen, duration float64) <-chan struct{} {
 }
 
 // probeHTTP exercises the ingress end to end: one synchronous invoke,
-// the registry, and the stats endpoint. Under chaos any well-formed
-// outcome passes the invoke probe — the invocation may legitimately be
-// abandoned (500), shed (429) or expire (504); what the probe asserts
-// is that the ingress answers, not that the cluster is healthy.
+// the hostile queries the door must refuse, an acknowledged invoke with
+// its own deadline, the registry, and the stats endpoint. Under chaos
+// any well-formed outcome passes the synchronous probe — the invocation
+// may legitimately be abandoned (500), shed (429) or expire (504); what
+// that probe asserts is that the ingress answers, not that the cluster
+// is healthy.
 func probeHTTP(srv *serve.Server, chaos bool) (failures int) {
 	base := "http://" + srv.Addr()
 	resp, err := http.Post(base+"/invoke/SYN", "", nil)
@@ -304,6 +307,25 @@ func probeHTTP(srv *serve.Server, chaos bool) (failures int) {
 		failures++
 	}
 	drain(resp)
+	// The door refuses what the platform cannot finish before it claims an
+	// admission slot, chaos or not; an acknowledged invoke may carry its
+	// own deadline.
+	for _, probe := range []struct {
+		query string
+		want  int
+	}{
+		{"size=Inf", http.StatusBadRequest},
+		{"size=NaN", http.StatusBadRequest},
+		{"deadline_ms=NaN", http.StatusBadRequest},
+		{"nowait=1&deadline_ms=250", http.StatusAccepted},
+	} {
+		resp, err := http.Post(base+"/invoke/SYN?"+probe.query, "", nil)
+		if err != nil || resp.StatusCode != probe.want {
+			fmt.Fprintf(os.Stderr, "libra-serve: selfcheck: POST /invoke/SYN?%s: %v (%v), want %d\n", probe.query, err, status(resp), probe.want)
+			failures++
+		}
+		drain(resp)
+	}
 	for _, path := range []string{"/registry", "/stats", "/healthz"} {
 		resp, err := http.Get(base + path)
 		if err != nil || resp.StatusCode != http.StatusOK {

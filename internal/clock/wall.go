@@ -27,11 +27,12 @@ type Source interface {
 // time.Timer-backed waits.
 type realSource struct {
 	epoch time.Time
+	yield func() // runtime.Gosched; the tests count the calls
 }
 
 // NewRealSource returns a Source backed by the machine's monotonic
 // clock, with its epoch at the moment of the call.
-func NewRealSource() Source { return &realSource{epoch: time.Now()} }
+func NewRealSource() Source { return &realSource{epoch: time.Now(), yield: runtime.Gosched} }
 
 func (s *realSource) Now() float64 { return time.Since(s.epoch).Seconds() }
 
@@ -39,11 +40,36 @@ func (s *realSource) Now() float64 { return time.Since(s.epoch).Seconds() }
 // to spin-waiting. Go timers wake 1–2 ms late on a busy single-core box
 // (measured: a 20 µs timer wait costs ~1.9 ms wall), which an event
 // loop firing every few microseconds cannot absorb — the serve
-// throughput ceiling would be timer latency, not event cost. Spinning
-// the last stretch costs at most spinMargin of one core per wait and
-// only when the loop is otherwise idle; Gosched keeps the ingress
-// goroutines runnable meanwhile.
+// throughput ceiling would be timer latency, not event cost: with the
+// margin at zero every modelled hop of a live invocation fires late
+// (server-side latency p50 2.52 → 3.78 ms). Spinning the last stretch
+// costs at most spinMargin of one core per wait and only when the loop
+// is otherwise idle.
 const spinMargin = 2e-3
+
+// yieldGap is how much source time the spin lets pass between two
+// runtime.Gosched calls. The spin polls wake every iteration, so the gap
+// delays nothing scheduled on the driver; what it trades is the two
+// things a yield does to everybody else. A yield is a global-run-queue
+// put, a wakep and a schedule; at one every eighth poll (1.7–1.9 M/s on
+// the 2-vCPU recording host) the loop kept both scheduler threads busy
+// handing itself over and starved the netpoller: a request sat 1.4–1.8 ms
+// at the median (p90 3.0 ms) in its loopback socket before its handler
+// started, more host time than the rest of the HTTP path together. With
+// no yield at all the handler starts at once but a goroutine made
+// runnable on the spinning thread waits for sysmon to preempt the loop
+// (deliver → handler p50 309 µs, 12% of the serving rate lost). Measured
+// between the two, client → handler p50 / deliver → handler p50:
+//
+//	every 8th poll   1 415–1 824 µs /   5 µs
+//	20 µs gap          127–138 µs   /  32 µs   ← live-http overhead_ms 4.7 → 2.9–3.0
+//	50 µs gap              —        /  65 µs      3.00–3.07
+//	every 4096th         —          / 166 µs
+//
+// The second column is about 1.6 × the gap, the first is flat from 20 µs
+// up, so 20 µs is the knee. `go test -bench IngressWake ./internal/serve`
+// shows the first column on one connection (DESIGN.md §8c).
+const yieldGap = 20e-6
 
 func (s *realSource) WaitUntil(t float64, wake <-chan struct{}) {
 	if math.IsInf(t, 1) {
@@ -60,15 +86,26 @@ func (s *realSource) WaitUntil(t float64, wake <-chan struct{}) {
 		}
 		tm.Stop()
 	}
-	for i := 0; s.Now() < t; i++ {
+	spin(t, wake, s.Now, s.yield)
+}
+
+// spin polls now until it reaches t or wake delivers, and calls yield
+// once per yieldGap of the time now reports: by the clock, not by the
+// poll count, so the yield rate does not follow how fast this host polls.
+func spin(t float64, wake <-chan struct{}, now func() float64, yield func()) {
+	cur := now()
+	yieldAt := cur + yieldGap
+	for cur < t {
 		select {
 		case <-wake:
 			return
 		default:
 		}
-		if i&7 == 7 { // yield sparingly; each Gosched costs a scheduler round-trip
-			runtime.Gosched()
+		if cur >= yieldAt {
+			yield()
+			yieldAt = now() + yieldGap // from the return: what ran meanwhile was not spinning
 		}
+		cur = now()
 	}
 }
 

@@ -31,8 +31,8 @@ type AdmissionConfig struct {
 	MaxPending int
 	// Deadline is the default per-request deadline: an invocation still
 	// queued when it passes is dropped (ErrDeadlineExpired / HTTP 504)
-	// instead of executed late. Synchronous HTTP requests can override it
-	// per request via ?deadline_ms= or a client context deadline. 0
+	// instead of executed late. An HTTP request, synchronous or nowait,
+	// overrides it via ?deadline_ms=; Invoke via its context's deadline. 0
 	// disables deadlines.
 	Deadline time.Duration
 	// DegradeHi is the ready-queue depth (capacity-blocked invocations)

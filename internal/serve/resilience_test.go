@@ -3,6 +3,9 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"io"
+	"math"
+	"net/http"
 	"testing"
 	"time"
 
@@ -202,4 +205,95 @@ func TestDrainReportClean(t *testing.T) {
 	if !rep.Drained || !rep.HTTPClean || rep.InFlightAtStop != 0 || rep.Remaining != 0 || rep.FailedWaiters != 0 {
 		t.Fatalf("idle drain report: %+v", rep)
 	}
+}
+
+// TestHostileQueriesAreRefusedAtTheDoor: a size or deadline that is not a
+// finite positive number answers 400 before it claims an admission slot.
+// Until PR 22 size=NaN answered 200 with an empty body, size=Inf never
+// answered and held its slot until the drain timeout, and the two
+// deadlines overflowed time.Duration into an instant 504. Server.Invoke,
+// the handler's programmatic twin, refuses the same input.
+func TestHostileQueriesAreRefusedAtTheDoor(t *testing.T) {
+	srv := newTestServer(t, "127.0.0.1:0")
+	app := testApp(t).Name
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
+	for _, query := range []string{
+		"size=NaN", "size=Inf", "size=-Inf", "size=0",
+		"deadline_ms=NaN", "deadline_ms=1e300", "deadline_ms=Inf", "deadline_ms=1e-9",
+		"nowait=1&size=Inf", "nowait=1&deadline_ms=NaN",
+	} {
+		resp, err := client.Post("http://"+srv.Addr()+"/invoke/"+app+"?"+query, "", nil)
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %s, want 400", query, resp.Status)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, size := range []float64{math.Inf(1), math.NaN(), 0, -1} {
+		if _, err := srv.Invoke(ctx, app, function.Input{Size: size, Seed: 1}); err == nil || ctx.Err() != nil {
+			t.Errorf("Invoke with size %g: error %v, want a refusal", size, err)
+		}
+	}
+	if got := srv.Pending(); got != 0 {
+		t.Errorf("pending = %d after the refusals, want 0", got)
+	}
+	if got := srv.Ingested(); got != 0 {
+		t.Errorf("ingested = %d, want 0", got)
+	}
+	stopDrained(t, srv)
+}
+
+// TestNowaitHonoursItsDeadline: ?deadline_ms= on an acknowledged invoke
+// reaches the platform. The node holds one invocation at a time and the
+// loop is held while three acknowledged invokes queue up behind each
+// other, so the second is still queued when its millisecond has passed:
+// it must leave through deadline_expired while its neighbours, which gave
+// no deadline, complete. Until PR 22 the nowait branch validated the
+// deadline and then ingested with the server's default.
+func TestNowaitHonoursItsDeadline(t *testing.T) {
+	spec := testApp(t)
+	tb := platform.Testbed{Nodes: 1, NodeCap: spec.UserAlloc, Schedulers: 1}
+	srv, err := serve.New(serve.Config{
+		Platform:     platform.PresetDefault(tb, 1),
+		Addr:         "127.0.0.1:0",
+		Source:       clock.NewManualSource(),
+		DrainTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	srv.Driver().Submit(func() {
+		close(held)
+		<-release
+	})
+	<-held
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
+	for _, query := range []string{"nowait=1", "nowait=1&deadline_ms=1", "nowait=1"} {
+		resp, err := client.Post("http://"+srv.Addr()+"/invoke/"+spec.Name+"?"+query, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: status %s, want 202", query, resp.Status)
+		}
+	}
+	close(release)
+	_, st := stopDrained(t, srv)
+	if st.Expired != 1 || st.Completed != 2 {
+		t.Errorf("expired %d, completed %d; want the deadline-bearing invoke expired and the other two completed", st.Expired, st.Completed)
+	}
+	checkConservation(t, st)
 }

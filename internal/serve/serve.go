@@ -18,9 +18,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -342,6 +346,9 @@ func (s *Server) Invoke(ctx context.Context, app string, in function.Input) (pla
 	if _, ok := function.ByName(app); !ok {
 		return platform.InvRecord{}, fmt.Errorf("serve: unknown function %q", app)
 	}
+	if !validSize(in.Size) {
+		return platform.InvRecord{}, fmt.Errorf("serve: input size %g is not a positive finite number", in.Size)
+	}
 	if err := s.admit(); err != nil {
 		return platform.InvRecord{}, err
 	}
@@ -514,34 +521,31 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown function %q", app), http.StatusNotFound)
 		return
 	}
-	in, err := inputFromQuery(spec, r)
+	q, err := parseInvokeQuery(spec, r.URL.RawQuery)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ctx := r.Context()
-	if v := r.URL.Query().Get("deadline_ms"); v != "" {
-		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms <= 0 {
-			http.Error(w, fmt.Sprintf("bad deadline_ms %q", v), http.StatusBadRequest)
-			return
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms*float64(time.Millisecond)))
-		defer cancel()
-	}
-	if r.URL.Query().Get("nowait") != "" {
+	if q.nowait {
 		if err := s.admit(); err != nil {
 			s.rejectAdmission(w, err)
 			return
 		}
-		id := s.NextID()
-		s.drv.Submit(func() { _ = s.ingestDeadline(id, app, in, s.adm.Deadline) })
-		w.WriteHeader(http.StatusAccepted)
-		writeJSON(w, invokeResponse{ID: id, App: app, Accepted: true})
+		id, rem := s.NextID(), s.adm.Deadline
+		if q.deadline > 0 {
+			rem = q.deadline
+		}
+		s.drv.Submit(func() { _ = s.ingestDeadline(id, app, q.in, rem) })
+		writeInvokeResponse(w, http.StatusAccepted, invokeResponse{ID: id, App: app, Accepted: true})
 		return
 	}
-	rec, err := s.Invoke(ctx, app, in)
+	ctx := r.Context()
+	if q.deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, q.deadline)
+		defer cancel()
+	}
+	rec, err := s.Invoke(ctx, app, q.in)
 	if err != nil {
 		if errors.Is(err, ErrShed) || errors.Is(err, ErrDraining) {
 			s.rejectAdmission(w, err)
@@ -555,7 +559,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	writeJSON(w, invokeResponse{
+	writeInvokeResponse(w, http.StatusOK, invokeResponse{
 		ID:        int64(rec.Inv.ID),
 		App:       app,
 		LatencyMs: rec.Latency * 1e3,
@@ -577,28 +581,188 @@ func (s *Server) rejectAdmission(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusTooManyRequests)
 }
 
-// inputFromQuery builds the invocation input from ?size= and ?seed=.
+// invokeQuery is what POST /invoke/{fn} reads from its query string.
+type invokeQuery struct {
+	in       function.Input
+	deadline time.Duration // ?deadline_ms=; 0 when the request gave none
+	nowait   bool
+}
+
+// The query keys of an invoke, and where parseInvokeQuery keeps each
+// one's value.
+const (
+	keySize = iota
+	keySeed
+	keyDeadline
+	keyNowait
+)
+
+var invokeKeys = [...]string{keySize: "size", keySeed: "seed", keyDeadline: "deadline_ms", keyNowait: "nowait"}
+
+// parseInvokeQuery reads the four keys of an invoke from the raw query in
+// one pass, by url.ParseQuery's rules: pairs split at '&', a pair that
+// holds a ';' or a bad escape is dropped, the first surviving value of a
+// key is the key's value, and an empty value reads as an absent key. Only
+// a key or value with a '%' or a '+' in it pays for url.QueryUnescape.
+//
 // Size defaults to the bottom of the app's dataset range; seed defaults
-// to a fresh ID so repeated unseeded invokes vary like real content.
-func inputFromQuery(spec *function.Spec, r *http.Request) (function.Input, error) {
-	lo, _ := spec.SizeRange()
-	in := function.Input{Size: lo, Seed: uint64(time.Now().UnixNano())}
-	q := r.URL.Query()
-	if v := q.Get("size"); v != "" {
-		size, err := strconv.ParseFloat(v, 64)
-		if err != nil || size <= 0 {
-			return in, fmt.Errorf("bad size %q", v)
+// to the clock so repeated unseeded invokes vary like real content. A
+// size or deadline the platform cannot finish is refused here: a NaN or
+// infinite size becomes a NaN or infinite duration, and an invocation
+// that completes at +Inf holds its admission slot for good.
+func parseInvokeQuery(spec *function.Spec, raw string) (invokeQuery, error) {
+	var (
+		vals [len(invokeKeys)]string
+		set  [len(invokeKeys)]bool
+	)
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if strings.IndexByte(pair, ';') >= 0 {
+			continue
 		}
-		in.Size = size
+		key, val, _ := strings.Cut(pair, "=")
+		key, ok := queryUnescape(key)
+		if !ok {
+			continue
+		}
+		i := slices.Index(invokeKeys[:], key)
+		if i < 0 || set[i] {
+			continue
+		}
+		if val, ok = queryUnescape(val); ok {
+			vals[i], set[i] = val, true
+		}
 	}
-	if v := q.Get("seed"); v != "" {
+
+	lo, _ := spec.SizeRange()
+	q := invokeQuery{in: function.Input{Size: lo}, nowait: vals[keyNowait] != ""}
+	if v := vals[keySize]; v != "" {
+		size, err := strconv.ParseFloat(v, 64)
+		if err != nil || !validSize(size) {
+			return q, fmt.Errorf("bad size %q", v)
+		}
+		q.in.Size = size
+	}
+	if v := vals[keySeed]; v != "" {
 		seed, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			return in, fmt.Errorf("bad seed %q", v)
+			return q, fmt.Errorf("bad seed %q", v)
 		}
-		in.Seed = seed
+		q.in.Seed = seed
+	} else {
+		q.in.Seed = uint64(time.Now().UnixNano())
 	}
-	return in, nil
+	if v := vals[keyDeadline]; v != "" {
+		ms, err := strconv.ParseFloat(v, 64)
+		// At least a nanosecond and less than time.Duration's range; NaN is
+		// neither.
+		ns := ms * float64(time.Millisecond)
+		if err != nil || !(ns >= 1 && ns < math.MaxInt64) {
+			return q, fmt.Errorf("bad deadline_ms %q", v)
+		}
+		q.deadline = time.Duration(ns)
+	}
+	return q, nil
+}
+
+// queryUnescape is url.QueryUnescape for the strings that need it.
+func queryUnescape(s string) (string, bool) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, true
+	}
+	s, err := url.QueryUnescape(s)
+	return s, err == nil
+}
+
+// validSize reports whether an input size is one the function models
+// can turn into a finite demand: positive, and neither NaN nor +Inf.
+func validSize(size float64) bool { return size > 0 && !math.IsInf(size, 1) }
+
+// Invoke replies are written by hand into pooled buffers: the reply is
+// five scalars and a name, and encoding/json paid an encoder, a boxed
+// struct and an indenting pass for each (with the three query parses, 22
+// allocations an acknowledged invoke; TestInvokeHandlerAllocs).
+var (
+	jsonContentType = []string{"application/json"} // shared by every reply; net/http only reads it
+	replyBufs       = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+// writeInvokeResponse answers an invoke with status and resp as one JSON
+// object, or with 500 if resp holds a number JSON cannot carry.
+func writeInvokeResponse(w http.ResponseWriter, status int, resp invokeResponse) {
+	bp := replyBufs.Get().(*[]byte)
+	b, ok := appendInvokeResponse((*bp)[:0], resp)
+	if ok {
+		w.Header()["Content-Type"] = jsonContentType
+		w.WriteHeader(status)
+		_, _ = w.Write(b) // the client went away; nothing to tell it
+	} else {
+		http.Error(w, fmt.Sprintf("invocation %d finished with a non-finite latency or speedup", resp.ID), http.StatusInternalServerError)
+	}
+	if cap(b) <= 1<<10 { // a reply is ~100 bytes; do not let one long name pin more
+		*bp = b
+		replyBufs.Put(bp)
+	}
+}
+
+// appendInvokeResponse appends resp as a JSON object and a newline, with
+// invokeResponse's field names and omitempty rules, so it decodes to what
+// encoding/json's rendering of resp decodes to. It reports false, and
+// appends nothing usable, when a float is NaN or infinite.
+func appendInvokeResponse(b []byte, resp invokeResponse) ([]byte, bool) {
+	if !finite(resp.LatencyMs) || !finite(resp.Speedup) {
+		return b, false
+	}
+	b = append(b, `{"id":`...)
+	b = strconv.AppendInt(b, resp.ID, 10)
+	b = append(b, `,"app":`...)
+	b = appendJSONString(b, resp.App)
+	if resp.LatencyMs != 0 {
+		b = append(b, `,"latency_ms":`...)
+		b = appendJSONFloat(b, resp.LatencyMs)
+	}
+	if resp.Speedup != 0 {
+		b = append(b, `,"speedup":`...)
+		b = appendJSONFloat(b, resp.Speedup)
+	}
+	if resp.Node != 0 {
+		b = append(b, `,"node":`...)
+		b = strconv.AppendInt(b, int64(resp.Node), 10)
+	}
+	if resp.ColdStart {
+		b = append(b, `,"cold_start":true`...)
+	}
+	if resp.Accepted {
+		b = append(b, `,"accepted":true`...)
+	}
+	return append(b, "}\n"...), true
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// appendJSONFloat writes a finite float the way encoding/json does:
+// shortest digits that round-trip, exponent form outside [1e-6, 1e21).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	return strconv.AppendFloat(b, f, format, -1, 64)
+}
+
+// appendJSONString writes s quoted. Function names are plain ASCII; one
+// that is not goes through encoding/json for its escapes.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(b, quoted...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // registryEntry is one function in the GET /registry listing.
