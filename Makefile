@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check fmt-check vet bench bench-digest bench-ab prof fuzz-mlkit fuzz-harvest fuzz-sim fuzz-serve bench-json bench-pr8 bench-pr9 bench-pr10 quick report examples clean figs4-smoke scale-race parallel-equiv
+.PHONY: all build test race check fmt-check vet bench bench-digest bench-ab prof fuzz-mlkit fuzz-harvest fuzz-sim fuzz-clock fuzz-serve bench-json bench-pr8 bench-pr9 bench-pr10 quick report examples clean figs4-smoke scale-race parallel-equiv
 
 # Default verify path: formatting, vet, build, tests — then the race
 # detector over the whole module (the parallel experiment harness must
@@ -57,7 +57,11 @@ bench-digest:
 # Ten pairs take about six minutes; repeat with SEED=7 before claiming.
 # W=live-http and W=live-inproc are supported claims like the replays: the
 # verdict column reads inv_per_s as higher-is-better and every other
-# metric, overhead_ms among them, as lower-is-better.
+# metric, overhead_ms among them, as lower-is-better. W=live-inproc is the
+# workload a clock.Driver change is judged on (inv_per_s is its saturate
+# phase, where the loop and not the model is the ceiling; peak_rss_mb
+# follows what is in flight there, so a faster loop has to hold it), with
+# W=live-http run beside it: the door shares the loop.
 W ?= replay-baseline
 PAIRS ?= 10
 SEED ?= 42
@@ -110,6 +114,13 @@ fuzz-harvest:
 # with most times tied. `go test` alone replays only the seed corpus.
 fuzz-sim:
 	$(GO) test -run '^$$' -fuzz FuzzHeapMatchesContainerHeap -fuzztime 20s ./internal/sim/
+
+# The wall driver on that same heap against the container/heap queue it
+# carried before (internal/clock/heapfuzz_test.go): At / Schedule / fire /
+# cancel / compact scripts on a ManualSource, most times tied. `go test`
+# alone replays only the seed corpus.
+fuzz-clock:
+	$(GO) test -run '^$$' -fuzz FuzzDriverMatchesContainerHeap -fuzztime 20s ./internal/clock/
 
 # The invoke handler's one-pass query parser against url.ParseQuery plus
 # the three-parse reading it replaced (internal/serve/invoke_test.go):

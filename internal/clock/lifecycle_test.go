@@ -309,3 +309,39 @@ func TestLifecycleFeedUnsortedFallsBackToAt(t *testing.T) {
 		}
 	})
 }
+
+// A NaN fire time has no place in the (at, seq) order — no comparison
+// ranks it, so the heap would fire it, and what it displaced, at
+// arbitrary positions. Every clock refuses one loudly, whether it comes
+// as a time or as a delay (NaN < 0 is false: the negative-delay clamp
+// does not catch it), and queues nothing.
+func TestLifecycleNaNTimePanics(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, c lifecycleRunner) {
+		for _, tc := range []struct {
+			name     string
+			schedule func()
+		}{
+			{"Schedule", func() { c.Schedule(math.NaN(), func() {}) }},
+			{"At", func() { c.At(math.NaN(), func() {}) }},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(NaN) did not panic", tc.name)
+					}
+				}()
+				tc.schedule()
+			}()
+		}
+		if c.Pending() != 0 {
+			t.Fatalf("Pending=%d after the refused calls, want 0", c.Pending())
+		}
+		// The clock is still usable: nothing was left locked or half-queued.
+		fired := false
+		c.Schedule(1, func() { fired = true })
+		c.Run()
+		if !fired {
+			t.Fatal("an event scheduled after the refused calls did not fire")
+		}
+	})
+}

@@ -1,12 +1,14 @@
 package clock
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"libra/internal/eventq"
 )
 
 // Source abstracts physical time for the wall Driver, so tests can run
@@ -153,13 +155,14 @@ func (s *ManualSource) WaitUntil(t float64, wake <-chan struct{}) {
 
 // wallEvent is a scheduled callback record owned by the Driver and
 // recycled after it fires, exactly like the sim engine's event records.
+// Its order key (at, seq) lives in the heap slot that points at it; at is
+// repeated here for Handle.Time. 24 bytes: the size class the slot's key
+// is paid from (TestWallEventStaysInItsSizeClass).
 type wallEvent struct {
-	at       float64
-	seq      uint64
-	gen      uint32
 	fn       func()
+	at       float64
+	gen      uint32
 	canceled bool
-	index    int // heap index, -1 once popped
 }
 
 // Gen implements clock.Record.
@@ -171,55 +174,33 @@ func (ev *wallEvent) EventCanceled() bool { return ev.canceled }
 // EventTime implements clock.Record.
 func (ev *wallEvent) EventTime() float64 { return ev.at }
 
-type wallHeap []*wallEvent
-
-func (h wallHeap) Len() int { return len(h) }
-func (h wallHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h wallHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *wallHeap) Push(x any) {
-	ev := x.(*wallEvent)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *wallHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
-
 // wallCompactMin mirrors the sim engine's lazy-cancel compaction floor.
 const wallCompactMin = 64
 
+// unpinned is what Driver.pin holds while no callback runs: the bits of a
+// NaN, which no fire time has (At and Schedule refuse one).
+const unpinned = math.MaxUint64
+
 // Driver is the wall-clock Clock implementation: the same (time, seq)
-// event queue as the sim engine, driven by physical timers instead of a
-// virtual clock. Unlike the engine it is goroutine-safe — Schedule, At,
-// Cancel and Now may be called from any goroutine (HTTP handlers submit
-// work this way) — but callbacks are serialized on the single goroutine
-// running Run or Serve, preserving the Clock contract the lock-free
-// platform code depends on.
+// event queue as the sim engine — eventq's key-inline 4-ary heap — driven
+// by physical timers instead of a virtual clock. Unlike the engine it is
+// goroutine-safe — Schedule, At, Cancel and Now may be called from any
+// goroutine (HTTP handlers submit work this way) — but callbacks are
+// serialized on the single goroutine running Run or Serve, preserving the
+// Clock contract the lock-free platform code depends on.
 //
 // Construct with NewDriver (mockable Source) or NewWallDriver (machine
 // clock).
 type Driver struct {
-	mu        sync.Mutex
-	src       Source
-	now       float64 // high-water mark of observed/fired time
-	inCB      bool    // a callback is running; Now is pinned to its fire time
+	mu  sync.Mutex
+	src Source
+	now float64 // high-water mark of observed/fired time
+	// pin is the float bits of the running callback's fire time (== now),
+	// unpinned outside callbacks. step writes it under mu; Now reads it
+	// without, which is what a platform callback's dozen clock reads cost.
+	pin       atomic.Uint64
 	seq       uint64
-	queue     wallHeap
+	queue     eventq.Heap[*wallEvent]
 	ncanceled int
 	free      []*wallEvent
 	fired     uint64
@@ -229,7 +210,9 @@ type Driver struct {
 
 // NewDriver returns a Driver over the given time source.
 func NewDriver(src Source) *Driver {
-	return &Driver{src: src, wake: make(chan struct{}, 1)}
+	d := &Driver{src: src, wake: make(chan struct{}, 1)}
+	d.pin.Store(unpinned)
+	return d
 }
 
 // NewWallDriver returns a Driver over the machine's monotonic clock,
@@ -248,22 +231,31 @@ func (d *Driver) nudge() {
 // Now returns the driver's current time in seconds since its epoch. It
 // is monotonically non-decreasing even if the source briefly reads
 // behind a fired event's timestamp (the loop may slip past due events).
+//
+// While a callback runs, time is pinned to the callback's fire time,
+// exactly like the sim engine's Now, for every goroutine that asks. That
+// is both contract-compliant (Now during a callback must be ≥ the fire
+// time; the engine reports it exactly) and the difference between one
+// source read per event and one per Now call — platform callbacks read
+// the clock a dozen times per event, and at hundreds of thousands of
+// events per second the nanotime calls alone were ~15% of the serve
+// loop's CPU, and the mutex around the pinned read another 10%.
 func (d *Driver) Now() float64 {
+	if b := d.pin.Load(); b != unpinned {
+		return math.Float64frombits(b)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.nowLocked()
 }
 
-// nowLocked reads the source lazily: while a callback runs, time is
-// pinned to the callback's fire time, exactly like the sim engine's
-// Now. That is both contract-compliant (Now during a callback must be
-// ≥ the fire time; the engine reports it exactly) and the difference
-// between one source read per event and one per Now call — platform
-// callbacks read the clock a dozen times per event, and at hundreds of
-// thousands of events per second the nanotime calls alone were ~15% of
-// the serve loop's CPU.
+// inCallback reports whether a callback is running. Caller holds d.mu.
+func (d *Driver) inCallback() bool { return d.pin.Load() != unpinned }
+
+// nowLocked is Now for callers that hold d.mu: the pinned time during a
+// callback, otherwise a fresh source read folded into the high-water mark.
 func (d *Driver) nowLocked() float64 {
-	if d.inCB {
+	if d.inCallback() {
 		return d.now
 	}
 	if t := d.src.Now(); t > d.now {
@@ -302,19 +294,21 @@ func (d *Driver) release(ev *wallEvent) {
 	ev.gen++
 	ev.fn = nil
 	ev.canceled = false
-	ev.index = -1
 	d.free = append(d.free, ev)
 }
 
 // Schedule queues fn to run after delay seconds. Safe from any
 // goroutine; fn itself always runs on the driver's loop goroutine.
 func (d *Driver) Schedule(delay float64, fn func()) Handle {
+	if math.IsNaN(delay) {
+		panic("clock: scheduling event at NaN time")
+	}
 	if delay < 0 {
 		delay = 0
 	}
 	d.mu.Lock()
 	h := d.atLocked(d.nowLocked()+delay, fn)
-	inCB := d.inCB
+	inCB := d.inCallback()
 	d.mu.Unlock()
 	if !inCB { // the loop schedules most events from callbacks; it is already awake
 		d.nudge()
@@ -335,7 +329,7 @@ func (d *Driver) At(t float64, fn func()) Handle {
 		t = now
 	}
 	h := d.atLocked(t, fn)
-	inCB := d.inCB
+	inCB := d.inCallback()
 	d.mu.Unlock()
 	if !inCB {
 		d.nudge()
@@ -345,9 +339,9 @@ func (d *Driver) At(t float64, fn func()) Handle {
 
 func (d *Driver) atLocked(t float64, fn func()) Handle {
 	ev := d.alloc()
-	ev.at, ev.seq, ev.fn = t, d.seq, fn
+	ev.at, ev.fn = t, fn
+	d.queue.Push(t, d.seq, ev)
 	d.seq++
-	heap.Push(&d.queue, ev)
 	return NewHandle(ev, ev.gen)
 }
 
@@ -365,76 +359,68 @@ func (d *Driver) Cancel(h Handle) {
 		return
 	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if ev.gen != h.Gen() || ev.canceled { // stale or already cancelled
-		d.mu.Unlock()
 		return
 	}
+	// A live handle means the record is still in the heap: it is released,
+	// and every handle to it killed, before its callback runs.
 	ev.canceled = true
-	if ev.index >= 0 {
-		d.ncanceled++
-		if d.ncanceled > wallCompactMin && d.ncanceled*2 > len(d.queue) {
-			d.compact()
-		}
+	d.ncanceled++
+	if d.ncanceled > wallCompactMin && d.ncanceled*2 > len(d.queue) {
+		d.compact()
 	}
-	d.mu.Unlock()
 }
 
+// compact drops every cancelled record from the queue in one pass and
+// re-establishes the heap order; (at, seq) is a strict total order, so
+// the live events fire as they would have.
 func (d *Driver) compact() {
 	live := d.queue[:0]
-	for _, ev := range d.queue {
-		if ev.canceled {
-			d.release(ev)
+	for _, s := range d.queue {
+		if s.Ev.canceled {
+			d.release(s.Ev)
 		} else {
-			live = append(live, ev)
+			live = append(live, s)
 		}
 	}
-	for i := len(live); i < len(d.queue); i++ {
-		d.queue[i] = nil
-	}
+	clear(d.queue[len(live):])
+	live.Init()
 	d.queue = live
-	for i, ev := range d.queue {
-		ev.index = i
-	}
-	heap.Init(&d.queue)
 	d.ncanceled = 0
 }
 
-// peekLocked returns the next live event, collecting cancelled records
-// that surfaced at the top. Caller holds d.mu.
-func (d *Driver) peekLocked() *wallEvent {
-	for len(d.queue) > 0 {
-		if d.queue[0].canceled {
-			ev := heap.Pop(&d.queue).(*wallEvent)
-			d.ncanceled--
-			d.release(ev)
-			continue
-		}
-		return d.queue[0]
-	}
-	return nil
-}
-
-// step pops and runs the next due event if one exists. It returns
-// (fired, nextAt): fired is whether a callback ran; nextAt is the head
-// event's time to wait for (NaN when the queue is empty).
-func (d *Driver) step() (bool, float64) {
+// step runs the next due event if there is one, under one hold of d.mu.
+// It returns (fired, nextAt): fired is whether a callback ran; if none
+// did, nextAt is the time to wait for — the head event's, +Inf while a
+// serving loop's queue is empty — or NaN when the loop is to return: the
+// queue drained (Run) or Stop was called (Serve). A loop that returns has
+// always been through here since its last callback, so it leaves Now
+// unpinned.
+func (d *Driver) step(serving bool) (bool, float64) {
 	d.mu.Lock()
-	d.inCB = false // the previous callback (if any) has returned
-	ev := d.peekLocked()
-	if ev == nil {
+	d.pin.Store(unpinned) // the previous callback (if any) has returned
+	if serving && d.stopped {
 		d.mu.Unlock()
 		return false, math.NaN()
 	}
-	if now := d.nowLocked(); ev.at > now {
-		at := ev.at
+	for len(d.queue) > 0 && d.queue[0].Ev.canceled { // collect what surfaced
+		d.release(d.queue.Pop())
+		d.ncanceled--
+	}
+	if len(d.queue) == 0 {
+		d.mu.Unlock()
+		if serving {
+			return false, math.Inf(1)
+		}
+		return false, math.NaN()
+	}
+	if at := d.queue[0].At; at > d.nowLocked() {
 		d.mu.Unlock()
 		return false, at
 	}
-	heap.Pop(&d.queue)
-	if ev.at > d.now {
-		d.now = ev.at
-	}
-	d.inCB = true
+	ev := d.queue.Pop()
+	d.pin.Store(math.Float64bits(d.now)) // ≥ ev.at: the loop may have slipped past it
 	d.fired++
 	fn := ev.fn
 	// Recycle before running the callback, like the sim engine: any
@@ -446,14 +432,11 @@ func (d *Driver) step() (bool, float64) {
 	return true, 0
 }
 
-// Run executes events until the queue drains, waiting out the gaps on
-// the time source. Under a ManualSource the waits jump time forward
-// instead, so Run is a deterministic synchronous replay — the same
-// contract as sim.Engine.Run, which is what lets Platform.Run drive
-// either implementation.
-func (d *Driver) Run() {
+// loop steps until step says to return, waiting out the gaps on the time
+// source.
+func (d *Driver) loop(serving bool) {
 	for {
-		fired, nextAt := d.step()
+		fired, nextAt := d.step(serving)
 		if fired {
 			continue
 		}
@@ -464,6 +447,13 @@ func (d *Driver) Run() {
 	}
 }
 
+// Run executes events until the queue drains, waiting out the gaps on
+// the time source. Under a ManualSource the waits jump time forward
+// instead, so Run is a deterministic synchronous replay — the same
+// contract as sim.Engine.Run, which is what lets Platform.Run drive
+// either implementation.
+func (d *Driver) Run() { d.loop(false) }
+
 // Serve executes events until ctx is cancelled or Stop is called,
 // idling (not returning) while the queue is empty — the live-serving
 // loop. Pending events at stop time stay queued; callers that need a
@@ -472,22 +462,7 @@ func (d *Driver) Serve(ctx context.Context) {
 	if ctx != nil {
 		defer context.AfterFunc(ctx, d.Stop)()
 	}
-	for {
-		d.mu.Lock()
-		stopped := d.stopped
-		d.mu.Unlock()
-		if stopped {
-			return
-		}
-		fired, nextAt := d.step()
-		if fired {
-			continue
-		}
-		if math.IsNaN(nextAt) {
-			nextAt = math.Inf(1)
-		}
-		d.src.WaitUntil(nextAt, d.wake)
-	}
+	d.loop(true)
 }
 
 // Stop makes Serve return after the in-flight callback (if any)

@@ -12,9 +12,13 @@
 // rather than swapping, so an entry is written once per level.
 //
 // The heap knows nothing about cancellation, generations or recycling;
-// those stay with the clock that owns the records (sim.Engine and
-// sim.Sharded today; clock.Driver still carries its own binary heap —
-// DESIGN.md §7 "What an event costs" says why).
+// those stay with the clock that owns the records: sim.Engine, sim.Sharded
+// and clock.Driver, every clock there is. The wall driver came last
+// because a 24-byte slot against a pointer looked like memory a live
+// server holds by the hundred thousand; its record gave the key's 24
+// bytes back (48 bytes a queued event, 56 before), and ordering events
+// had been 42% of the serving loop at saturation — DESIGN.md §7 "What the
+// live loop costs" has the profile.
 package eventq
 
 // Slot is one queued entry: the order key and the record it orders.

@@ -2,6 +2,7 @@ package platform_test
 
 import (
 	"context"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"libra/internal/faults"
 	"libra/internal/function"
 	"libra/internal/platform"
+	"libra/internal/platform/invariants"
 )
 
 // liveHarness runs a platform in live-serving mode on a wall driver over
@@ -210,4 +212,133 @@ func TestLiveDeadlineSurvivesRetry(t *testing.T) {
 	if res.DeadlineExpired != int(h.expired.Load()) {
 		t.Fatalf("result.DeadlineExpired = %d, hook saw %d", res.DeadlineExpired, h.expired.Load())
 	}
+}
+
+// TestLiveRecycledRecordsUnderFaults is the platform's half of the
+// recycling contract: a completed invocation's record becomes a later
+// arrival's, so it may be parked only when nothing else holds it. A
+// record parked while a retry closure, a backoff timer or the ready
+// queue still points at it would be filled in for a second invocation
+// and leave through two exits. Crashes, OOM kills and deadlines are all
+// on — under Libra, whose safeguard leaves the kernel nothing to kill,
+// and under Freyr, which gets killed — the ten applications arrive with
+// sampled inputs over a hundred crash cycles, so completions refill the
+// free list while retries are pending, and every exit is checked against
+// what was ingested under that ID: once only, with the arrival's own
+// input and arrival time and, for a completion, a latency that is its
+// own End − Arrival. The conservation audit runs at every exit and on a
+// 10 ms ticker: two scheduling records sharing one invocation
+// double-count a reservation.
+func TestLiveRecycledRecordsUnderFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		preset   func(platform.Testbed, int64) platform.Config
+		oomKills bool
+	}{
+		{"Libra", platform.PresetLibra, false},
+		{"Freyr", platform.PresetFreyr, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.preset(platform.MultiNode(), 5)
+			cfg.Faults = faults.Config{CrashMTBF: 20, MTTR: 2, BackoffBase: 2, OOMKill: true}
+			res := runRecycledUnderFaults(t, cfg)
+			if res.Faults.CrashAborts == 0 || res.DeadlineExpired == 0 || res.Faults.Abandoned == 0 ||
+				(res.Faults.OOMKills > 0) != tc.oomKills {
+				t.Fatalf("crash aborts %d, OOM kills %d, expiries %d, abandoned %d: the run must see each (OOM kills: %v)",
+					res.Faults.CrashAborts, res.Faults.OOMKills, res.DeadlineExpired, res.Faults.Abandoned, tc.oomKills)
+			}
+		})
+	}
+}
+
+func runRecycledUnderFaults(t *testing.T, cfg platform.Config) *platform.Result {
+	apps, rng := function.Apps(), rand.New(rand.NewSource(5))
+	drv := clock.NewDriver(clock.NewManualSource())
+	p, err := platform.New(drv, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &liveHarness{drv: drv, p: p}
+	const n = 3000
+	var (
+		arrivedAt [n + 1]float64
+		exited    [n + 1]bool
+		recycled  = make(map[*cluster.Invocation]int)
+		audits    int
+	)
+	audit := func() {
+		audits++
+		if err := invariants.Check(p.Nodes()); err != nil {
+			t.Errorf("t=%g: %v", drv.Now(), err)
+		}
+	}
+	exit := func(how string, inv *cluster.Invocation, count *atomic.Int64) {
+		id := int64(inv.ID)
+		switch {
+		case id < 1 || id > n:
+			t.Errorf("%s hook for invocation %d, which was never ingested", how, id)
+		case exited[id]:
+			t.Errorf("invocation %d left twice (again through %s)", id, how)
+		case inv.Input.Seed != uint64(id) || inv.Arrival != arrivedAt[id]:
+			t.Errorf("%s: invocation %d carries seed %d and arrival %g, ingested with seed %d at %g",
+				how, id, inv.Input.Seed, inv.Arrival, id, arrivedAt[id])
+		default:
+			exited[id] = true
+		}
+		audit()
+		count.Add(1)
+	}
+	p.StartServing(platform.ServeHooks{
+		Done: func(rec platform.InvRecord) {
+			if got := rec.Inv.End - rec.Inv.Arrival; got != rec.Latency {
+				t.Errorf("invocation %d: latency %g, End-Arrival %g", rec.Inv.ID, rec.Latency, got)
+			}
+			recycled[rec.Inv]++
+			exit("Done", rec.Inv, &h.done)
+		},
+		Abandon: func(inv *cluster.Invocation) { exit("Abandon", inv, &h.abandoned) },
+		Expired: func(inv *cluster.Invocation) { exit("Expired", inv, &h.expired) },
+	})
+	drv.Submit(func() {
+		clock.Every(drv, 0.01, audit)
+		for i := 1; i <= n; i++ {
+			id := int64(i)
+			spec := apps[i%len(apps)]
+			in := spec.SampleInput(rng)
+			in.Seed = uint64(id)
+			drv.Schedule(float64(i)*0.5, func() {
+				arrivedAt[id] = drv.Now()
+				// Every third invocation has a deadline: the long ones, the
+				// capacity-blocked and most crash victims miss it. The rest
+				// retry until their budget ends.
+				deadline := 0.0
+				if id%3 == 0 {
+					deadline = drv.Now() + 30
+				}
+				if err := p.IngestDeadline(id, spec.Name, in, deadline); err != nil {
+					t.Errorf("IngestDeadline(%d): %v", id, err)
+				}
+			})
+		}
+	})
+	res := h.serveUntil(t, n)
+
+	if got := h.finished(); got != n {
+		t.Fatalf("%d invocations left through a hook, %d were ingested", got, n)
+	}
+	reused := 0
+	for _, k := range recycled {
+		if k > 1 {
+			reused++
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no invocation record completed twice: nothing was recycled")
+	}
+	if res.LeakedLoans != 0 || res.CapacityViolations != 0 {
+		t.Fatalf("leaked loans %d, capacity violations %d, want 0 and 0", res.LeakedLoans, res.CapacityViolations)
+	}
+	t.Logf("%d records served %d completions; %d crash aborts, %d OOM kills, %d expired, %d abandoned, %d audits",
+		len(recycled), h.done.Load(), res.Faults.CrashAborts, res.Faults.OOMKills, res.DeadlineExpired, res.Faults.Abandoned, audits)
+	return res
 }

@@ -98,6 +98,13 @@ type Server struct {
 
 	mu      sync.Mutex
 	waiters map[int64]chan waitResult
+	// waiting is len(waiters), written under mu beside every insert and
+	// delete. A waiter registers before the Submit that ingests its
+	// invocation, so the loop, which learns of the invocation through the
+	// driver's mutex, reads at least one here by the time the invocation
+	// leaves; at zero nobody can be waiting and takeWaiter skips the lock —
+	// every LoadGen and nowait invocation.
+	waiting atomic.Int64
 
 	started  atomic.Bool
 	startAt  time.Time
@@ -215,7 +222,13 @@ func (s *Server) onDone(rec platform.InvRecord) {
 	s.histMu.Unlock()
 	s.release()
 	s.updateDegraded()
-	s.deliver(int64(rec.Inv.ID), waitResult{rec: rec})
+	if ch := s.takeWaiter(int64(rec.Inv.ID)); ch != nil {
+		// rec.Inv is the platform's until this hook returns, then the next
+		// arrival's (platform.ServeHooks.Done); the waiter gets its own.
+		inv := *rec.Inv
+		rec.Inv = &inv
+		ch <- waitResult{rec: rec}
+	}
 }
 
 // onAbandon runs on the loop goroutine when an invocation's retry
@@ -287,15 +300,26 @@ func (s *Server) updateDegraded() {
 	}
 }
 
-func (s *Server) deliver(id int64, res waitResult) {
+// takeWaiter unregisters and returns the channel of the Invoke call that
+// waits for invocation id, nil when none does. The channel is buffered:
+// sending the outcome never blocks the loop.
+func (s *Server) takeWaiter(id int64) chan waitResult {
+	if s.waiting.Load() == 0 {
+		return nil
+	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	ch, ok := s.waiters[id]
 	if ok {
 		delete(s.waiters, id)
+		s.waiting.Add(-1)
 	}
-	s.mu.Unlock()
-	if ok {
-		ch <- res // buffered; never blocks the loop
+	return ch
+}
+
+func (s *Server) deliver(id int64, res waitResult) {
+	if ch := s.takeWaiter(id); ch != nil {
+		ch <- res
 	}
 }
 
@@ -360,6 +384,7 @@ func (s *Server) Invoke(ctx context.Context, app string, in function.Input) (pla
 	ch := make(chan waitResult, 1)
 	s.mu.Lock()
 	s.waiters[id] = ch
+	s.waiting.Add(1)
 	s.mu.Unlock()
 	s.drv.Submit(func() {
 		if err := s.ingestDeadline(id, app, in, rem); err != nil {
@@ -373,9 +398,7 @@ func (s *Server) Invoke(ctx context.Context, app string, in function.Input) (pla
 		// The invocation still runs to completion on the loop and keeps
 		// its admission slot until then — abandoning the wait does not
 		// free platform capacity.
-		s.mu.Lock()
-		delete(s.waiters, id)
-		s.mu.Unlock()
+		s.takeWaiter(id)
 		return platform.InvRecord{}, ctx.Err()
 	}
 }
@@ -496,6 +519,7 @@ func (s *Server) Stop(ctx context.Context) (*platform.Result, DrainReport, error
 		delete(s.waiters, id)
 		rep.FailedWaiters++
 	}
+	s.waiting.Store(0)
 	s.mu.Unlock()
 	rep.WaitedSeconds = time.Since(start).Seconds()
 	return res, rep, nil
